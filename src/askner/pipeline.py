@@ -44,6 +44,7 @@ from .querygen import SubQuestion, build_question_set
 from .retrieval import (
     CorpusSentence,
     RetrievedPhrase,
+    check_evidence,
     collect_training_sentences,
     fetch_remote,
     load_corpus,
@@ -157,6 +158,14 @@ def _dump_json(doc: Mapping) -> str:
 # -- retrieval stage --------------------------------------------------------
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: the width of the remote fetch pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _retrieve_groups(
     config: PipelineConfig,
     questions: Sequence[SubQuestion],
@@ -181,18 +190,39 @@ def _retrieve_groups(
                 content_text=q.type_label,
             )
     elif mode == "remote":
+        from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
         url = endpoint if endpoint is not None else settings.endpoint
         if not url:
             raise ConfigError("remote retrieval needs an endpoint")
-        for q in questions:
-            groups[q.question_id] = fetch_remote(
-                q.question_text,
-                url,
-                top,
-                question_id=q.question_id,
-                timeout=settings.timeout,
-                attempts=settings.attempts,
-            )
+        pool = ThreadPoolExecutor(max_workers=min(len(questions), _available_cpus()))
+        try:
+            futures = [
+                pool.submit(
+                    fetch_remote,
+                    q.question_text,
+                    url,
+                    top,
+                    question_id=q.question_id,
+                    timeout=settings.timeout,
+                    attempts=settings.attempts,
+                )
+                for q in questions
+            ]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # After a failure, questions not yet started are dropped. The pool
+            # starts questions in order, so every question before a failed one
+            # has run by the time shutdown returns.
+            pool.shutdown(wait=True, cancel_futures=True)
+        # In question order: the earliest failure is raised, whatever order
+        # the responses arrived in.
+        for q, future in zip(questions, futures):
+            groups[q.question_id] = future.result()
+        if corpus is not None:
+            for qid, phrases in groups.items():
+                for p in phrases:
+                    check_evidence(p, corpus, f"{url} ({qid} rank {p.rank})")
     else:
         raise ConfigError(f"cannot retrieve in mode {mode!r}")
     return groups

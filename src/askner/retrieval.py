@@ -142,6 +142,24 @@ def _phrase_from_record(obj: object, where: str) -> RetrievedPhrase:
     return p
 
 
+def check_evidence(
+    p: RetrievedPhrase, corpus: Mapping[str, CorpusSentence], where: str
+) -> None:
+    """Raise DataError unless ``p``'s sentence id resolves in ``corpus`` and
+    its phrase equals the in-bounds slice of that sentence."""
+    sent = corpus.get(p.sentence_id)
+    if sent is None:
+        raise DataError(f"{where}: unknown sentence_id {p.sentence_id!r}")
+    if not 0 <= p.char_start < p.char_end <= len(sent.text):
+        raise DataError(
+            f"{where}: span [{p.char_start}, {p.char_end}) out of bounds "
+            f"for sentence {p.sentence_id!r}"
+        )
+    slice_ = sent.text[p.char_start:p.char_end]
+    if slice_ != p.surface:
+        raise DataError(f"{where}: phrase {p.surface!r} != sentence slice {slice_!r}")
+
+
 def ingest_results(
     lines: Iterable[str],
     corpus: Mapping[str, CorpusSentence] | None = None,
@@ -164,19 +182,7 @@ def ingest_results(
             raise DataError(f"{where}: invalid JSON: {e}") from None
         p = _phrase_from_record(obj, where)
         if corpus is not None:
-            sent = corpus.get(p.sentence_id)
-            if sent is None:
-                raise DataError(f"{where}: unknown sentence_id {p.sentence_id!r}")
-            if not 0 <= p.char_start < p.char_end <= len(sent.text):
-                raise DataError(
-                    f"{where}: span [{p.char_start}, {p.char_end}) out of bounds "
-                    f"for sentence {p.sentence_id!r}"
-                )
-            slice_ = sent.text[p.char_start:p.char_end]
-            if slice_ != p.surface:
-                raise DataError(
-                    f"{where}: phrase {p.surface!r} != sentence slice {slice_!r}"
-                )
+            check_evidence(p, corpus, where)
         per_q = groups.setdefault(p.question_id, {})
         if p.rank in per_q:
             raise DataError(
@@ -315,7 +321,6 @@ def fetch_remote(
     timeout: float = 10.0,
     attempts: int = 3,
     backoff: float = 0.5,
-    session=None,
 ) -> list[RetrievedPhrase]:
     """GET ranked results from a retrieval service, with retries.
 
@@ -323,17 +328,19 @@ def fetch_remote(
     array of result records. Records are stamped with ``question_id`` before
     validation so replay files line up with the local configuration.
     Connection failures and 5xx responses are retried up to ``attempts``
-    times; malformed payloads and 4xx responses are data errors.
+    times; malformed payloads and 4xx responses are data errors, and name
+    the question. Each call opens its own connection, so calls may run on
+    several threads at once.
     """
     import requests
 
     if attempts < 1:
         raise ConfigError(f"attempts must be >= 1, got {attempts}")
-    http = session if session is not None else requests
+    source = f"{endpoint} (question {question_text!r})"
     last_error: Exception | None = None
     for attempt in range(1, attempts + 1):
         try:
-            resp = http.get(
+            resp = requests.get(
                 endpoint, params={"question": question_text, "top_n": top_n}, timeout=timeout
             )
         except requests.RequestException as e:
@@ -342,21 +349,21 @@ def fetch_remote(
                 time.sleep(backoff * attempt)
             continue
         if 500 <= resp.status_code < 600:
-            last_error = DataError(f"{endpoint}: server error {resp.status_code}")
+            last_error = DataError(f"{source}: server error {resp.status_code}")
             if attempt < attempts and backoff:
                 time.sleep(backoff * attempt)
             continue
         if resp.status_code != 200:
-            raise DataError(f"{endpoint}: unexpected status {resp.status_code}")
+            raise DataError(f"{source}: unexpected status {resp.status_code}")
         try:
             payload = resp.json()
         except ValueError as e:
-            raise DataError(f"{endpoint}: response is not JSON: {e}") from None
+            raise DataError(f"{source}: response is not JSON: {e}") from None
         if not isinstance(payload, list):
-            raise DataError(f"{endpoint}: expected a JSON array of result records")
+            raise DataError(f"{source}: expected a JSON array of result records")
         by_rank: dict[int, RetrievedPhrase] = {}
         for i, obj in enumerate(payload):
-            where = f"{endpoint} record {i}"
+            where = f"{source} record {i}"
             if question_id is not None and isinstance(obj, dict):
                 obj = dict(obj, question_id=question_id)
             p = _phrase_from_record(obj, where)
@@ -369,11 +376,11 @@ def fetch_remote(
         for prev, cur in zip(ranked, ranked[1:]):
             if cur.score > prev.score:
                 raise DataError(
-                    f"{endpoint}: score {cur.score} at rank {cur.rank} exceeds "
+                    f"{source}: score {cur.score} at rank {cur.rank} exceeds "
                     f"score {prev.score} at rank {prev.rank}"
                 )
         return ranked
     raise FetchError(
-        f"{endpoint}: retrieval failed after {attempts} attempts: {last_error}",
+        f"{source}: retrieval failed after {attempts} attempts: {last_error}",
         attempts=attempts,
     )

@@ -5,17 +5,21 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 from urllib.parse import parse_qs, urlparse
 
 import pytest
+import yaml
 
 from askner.cli import main
+from askner.config import load_config
 from askner.conll import read_conll
 from askner.errors import DataError, FetchError, InternalInvariantError
-from askner.retrieval import fetch_remote, read_results
+from askner.querygen import build_question_set
+from askner.retrieval import fetch_remote, read_results, serialize_results
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
@@ -236,15 +240,38 @@ def test_retrieve_in_replay_mode_is_config_error():
 
 @pytest.fixture
 def server():
-    """A one-shot HTTP server; tests queue (status, payload) responses."""
-    responses: list[tuple[int, object]] = []
+    """A local retrieval service keyed by the ``question`` parameter.
+
+    ``replies`` maps a question to its queue of (status, payload) responses;
+    each queue is served in order, whatever order the questions arrive in. ``delay`` maps a question to seconds to wait
+    before answering it. ``stats.max_active`` is the most connections the
+    server held open at once.
+    """
+    replies: dict[str, list[tuple[int, object]]] = {}
+    delay: dict[str, float] = {}
     requests_seen: list[dict] = []
+    stats = SimpleNamespace(active=0, max_active=0)
+    lock = threading.Lock()
 
     class Handler(BaseHTTPRequestHandler):
+        def handle(self):
+            with lock:
+                stats.active += 1
+                stats.max_active = max(stats.max_active, stats.active)
+            try:
+                super().handle()
+            finally:
+                with lock:
+                    stats.active -= 1
+
         def do_GET(self):
             query = {k: v[0] for k, v in parse_qs(urlparse(self.path).query).items()}
-            requests_seen.append(query)
-            status, payload = responses.pop(0) if responses else (500, "exhausted")
+            question = query.get("question", "")
+            with lock:
+                requests_seen.append(query)
+                queue = replies.get(question)
+                status, payload = queue.pop(0) if queue else (500, "exhausted")
+            time.sleep(delay.get(question, 0.0))
             body = payload if isinstance(payload, str) else json.dumps(payload)
             data = body.encode("utf-8")
             self.send_response(status)
@@ -261,11 +288,15 @@ def server():
     thread.start()
     yield SimpleNamespace(
         url=f"http://127.0.0.1:{httpd.server_port}/search",
-        responses=responses,
+        replies=replies,
+        delay=delay,
         seen=requests_seen,
+        stats=stats,
     )
     httpd.shutdown()
-    thread.join()
+    httpd.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def _record(rank, surface="Velgrad", score=None):
@@ -281,7 +312,7 @@ def _record(rank, surface="Velgrad", score=None):
 
 
 def test_fetch_remote_success_stamps_question_id(server):
-    server.responses.append((200, [_record(1), _record(2)]))
+    server.replies["Which city?"] = [(200, [_record(1), _record(2)])]
     results = fetch_remote("Which city?", server.url, 2, question_id="city:city")
     assert [p.rank for p in results] == [1, 2]
     assert {p.question_id for p in results} == {"city:city"}
@@ -289,15 +320,14 @@ def test_fetch_remote_success_stamps_question_id(server):
 
 
 def test_fetch_remote_retries_server_errors(server):
-    server.responses.append((503, "down"))
-    server.responses.append((200, [_record(1)]))
+    server.replies["Which city?"] = [(503, "down"), (200, [_record(1)])]
     results = fetch_remote("Which city?", server.url, 1, attempts=3, backoff=0)
     assert len(results) == 1
     assert len(server.seen) == 2
 
 
 def test_fetch_remote_gives_up_after_attempts(server):
-    server.responses.extend([(500, "down")] * 3)
+    server.replies["Which city?"] = [(500, "down")] * 3
     with pytest.raises(FetchError) as err:
         fetch_remote("Which city?", server.url, 1, attempts=3, backoff=0)
     assert err.value.attempts == 3
@@ -305,21 +335,21 @@ def test_fetch_remote_gives_up_after_attempts(server):
 
 
 def test_fetch_remote_4xx_is_data_error_without_retry(server):
-    server.responses.append((404, "nope"))
+    server.replies["Which city?"] = [(404, "nope")]
     with pytest.raises(DataError):
         fetch_remote("Which city?", server.url, 1, attempts=3, backoff=0)
     assert len(server.seen) == 1
 
 
 def test_fetch_remote_non_json_is_data_error(server):
-    server.responses.append((200, "this is not json"))
+    server.replies["Which city?"] = [(200, "this is not json")]
     with pytest.raises(DataError):
         fetch_remote("Which city?", server.url, 1, attempts=2, backoff=0)
     assert len(server.seen) == 1
 
 
 def test_retrieve_remote_cli(tmp_path, server):
-    server.responses.append((200, [_record(1), _record(2), _record(3)]))
+    server.replies["Which city?"] = [(200, [_record(1), _record(2), _record(3)])]
     config = tmp_path / "remote.yaml"
     config.write_text(
         f"""\
@@ -344,3 +374,116 @@ output_dir: out
     groups = read_results(target)
     assert [p.surface for p in groups["city:city"]] == ["Velgrad"] * 3
     assert server.seen[0]["question"] == "Which city?"
+
+
+# -- remote generate: the fetch pool and the corpus check ---------------------
+
+
+def _demo_remote(tmp_path: Path, server) -> tuple[Path, list]:
+    """The demo config switched to remote mode, with every demo hit queued
+    on ``server`` under its question; returns the config and the questions."""
+    doc = yaml.safe_load((DEMO / "config.yaml").read_text(encoding="utf-8"))
+    doc["corpus"] = str(DEMO / "corpus.jsonl")
+    doc["retrieval"] = {"mode": "remote", "endpoint": server.url, "top_n": 50, "attempts": 1}
+    config = tmp_path / "remote.yaml"
+    config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    loaded = load_config(config)
+    questions = build_question_set(
+        loaded.types, loaded.template, loaded.default_k_l, loaded.default_rules
+    )
+    groups = read_results(DEMO / "results.jsonl")
+    for q in questions:
+        server.replies[q.question_text] = [(200, [p.to_record() for p in groups[q.question_id]])]
+    return config, questions
+
+
+def _artifacts(out: Path) -> list[str]:
+    return sorted(p.name for p in out.iterdir()) if out.exists() else []
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 8])
+def test_remote_fetch_width_is_min_of_questions_and_cpus(tmp_path, server, monkeypatch, cpus):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+    config = tmp_path / "remote.yaml"
+    config.write_text(
+        f"""\
+seed: 0
+corpus: {DEMO / 'corpus.jsonl'}
+retrieval:
+  mode: remote
+  endpoint: {server.url}
+  top_n: 1
+types:
+  - name: disease
+    k_l: 10
+    labels: [disease, illness]
+  - name: city
+    k_l: 10
+    labels: [city, town]
+output_dir: out
+""",
+        encoding="utf-8",
+    )
+    for label in ("disease", "illness", "city", "town"):
+        server.replies[f"Which {label}?"] = [(200, [_record(1, surface=label)])]
+        server.delay[f"Which {label}?"] = 0.05
+    target = tmp_path / "results.jsonl"
+    rc = main(["-q", "retrieve", "--config", str(config), "--out", str(target)])
+    assert rc == 0
+    assert server.stats.max_active == min(4, cpus)
+    groups = read_results(target)
+    assert {qid: [p.surface for p in v] for qid, v in groups.items()} == {
+        "disease:disease": ["disease"], "disease:illness": ["illness"],
+        "city:city": ["city"], "city:town": ["town"],
+    }
+
+
+def test_remote_generate_matches_replay(tmp_path, server, monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
+    config, questions = _demo_remote(tmp_path, server)
+    # later questions answer first
+    for i, q in enumerate(questions):
+        server.delay[q.question_text] = 0.03 * (len(questions) - i)
+    remote = tmp_path / "remote"
+    assert main(["-q", "generate", "--config", str(config), "--out", str(remote)]) == 0
+    replay = run_generate(tmp_path)
+    for name in ("dataset.conll", "dictionary.tsv"):
+        assert (remote / name).read_bytes() == (replay / name).read_bytes()
+    assert (remote / "results.jsonl").read_text(encoding="utf-8") == serialize_results(
+        read_results(DEMO / "results.jsonl")
+    )
+
+
+def test_remote_failure_names_earliest_question(tmp_path, server, monkeypatch, caplog):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
+    config, questions = _demo_remote(tmp_path, server)
+    second, third = questions[1].question_text, questions[2].question_text
+    server.replies[second] = [(404, "no")]
+    server.replies[third] = [(410, "no")]
+    server.delay[second] = 0.1  # the later failure arrives first
+    out = tmp_path / "out"
+    rc = main(["-q", "generate", "--config", str(config), "--out", str(out)])
+    assert rc == 2
+    assert f"(question {second!r}): unexpected status 404" in caplog.text
+    assert "410" not in caplog.text
+    assert _artifacts(out) == []
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("sentence_id", "demo-99", "unknown sentence_id 'demo-99'"),
+        ("phrase", "Crohn's colitis", "!= sentence slice \"Crohn's disease\""),
+    ],
+)
+def test_remote_hits_are_checked_against_corpus(
+    tmp_path, server, caplog, field, value, message
+):
+    config, questions = _demo_remote(tmp_path, server)
+    _, records = server.replies[questions[0].question_text][0]
+    records[0][field] = value
+    out = tmp_path / "out"
+    rc = main(["-q", "generate", "--config", str(config), "--out", str(out)])
+    assert rc == 2
+    assert message in caplog.text
+    assert _artifacts(out) == []
