@@ -16,7 +16,7 @@ largest-remainder apportionment over the retrieval counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DataError, InternalInvariantError
 from .normalizer import NormalizedPhrase, RuleSet
@@ -48,9 +48,6 @@ class PseudoDictionary:
     entries: dict[str, DictEntry] = field(default_factory=dict)
     abbreviations: dict[str, str] = field(default_factory=dict)
     quality_phrases: frozenset[str] = frozenset()
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def build_dictionary(
@@ -151,10 +148,6 @@ class _WordTrie:
         return hits
 
 
-def _token_words(sentence: CorpusSentence) -> list[list[str]]:
-    return [t.lower().split() for t in sentence.surfaces()]
-
-
 def match_sentences(
     dictionary: PseudoDictionary,
     sentences: Iterable[CorpusSentence],
@@ -177,7 +170,7 @@ def match_sentences(
 
     out: list[MatchSpan] = []
     for sentence in sentences:
-        words = _token_words(sentence)
+        words = [t.lower().split() for t in sentence.surfaces()]
         raw = trie.scan(words)
         if rules.is_enabled(9):
             raw = [
@@ -217,18 +210,6 @@ def _grow_span(span: MatchSpan, qp_spans: list[tuple[int, int, str]]) -> MatchSp
         return span
     _, s, e = min(containing)
     return replace(span, token_start=s, token_end=e)
-
-
-def refine_boundaries(
-    span: MatchSpan, sentence: CorpusSentence, quality_phrases: Iterable[str]
-) -> MatchSpan:
-    """Rule 10 for a single span: expand to the smallest quality-phrase span
-    strictly containing it (fewest tokens, then leftmost), if any."""
-    patterns = frozenset(surface_key(q) for q in quality_phrases if surface_key(q))
-    if not patterns:
-        return span
-    qp_spans = _WordTrie(patterns).scan(_token_words(sentence))
-    return _grow_span(span, qp_spans)
 
 
 def apportion_types(entry: DictEntry, occurrences: Sequence[MatchSpan]) -> list[MatchSpan]:

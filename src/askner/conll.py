@@ -30,10 +30,6 @@ def format_conll(sentences: Iterable[LabeledSentence]) -> str:
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
-def write_conll(path: str | Path, sentences: Iterable[LabeledSentence]) -> None:
-    Path(path).write_text(format_conll(sentences), encoding="utf-8")
-
-
 def parse_conll(text: str, source: str = "<conll>") -> list[LabeledSentence]:
     sentences: list[LabeledSentence] = []
     tokens: list[str] = []

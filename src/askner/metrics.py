@@ -52,20 +52,17 @@ def extract_entities(tags: Sequence[str]) -> list[tuple[int, int, str]]:
 
 @dataclass(frozen=True)
 class EntitySet:
-    """All entities of a labeled corpus, as a set plus sentence bookkeeping."""
+    """All entities of a labeled corpus, as a set."""
 
     entities: frozenset[Entity]
-    sentence_ids: tuple[str, ...]
 
     @classmethod
     def from_sentences(cls, sentences: Iterable[LabeledSentence]) -> "EntitySet":
         ents = set()
-        sids = []
         for sent in sentences:
-            sids.append(sent.sentence_id)
             for start, end, etype in extract_entities(sent.tags):
                 ents.add((sent.sentence_id, start, end, etype))
-        return cls(entities=frozenset(ents), sentence_ids=tuple(sids))
+        return cls(entities=frozenset(ents))
 
 
 @dataclass(frozen=True)

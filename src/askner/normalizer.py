@@ -4,6 +4,9 @@ Raw retrieved phrases are noisy: coordinated lists, stray punctuation,
 generic lowercase fragments, echoes of the question itself. An ordered rule
 pipeline (rules 1-8) cleans them into dictionary candidates; two further
 rules (9-10) apply at dictionary-matching time and live in the annotator.
+Rules 1-7 rewrite a fragment on its own and can be run one at a time with
+``apply_rule``; rule 8 reads the evidence sentence, so only ``normalize``
+applies it.
 
 Rules, in the fixed order they run:
 
@@ -101,20 +104,6 @@ class NormalizedPhrase:
             raise ValueError(f"surface must be non-empty and trimmed: {self.surface!r}")
 
 
-@dataclass(frozen=True)
-class AbbreviationPair:
-    """A (long form, short form) pair whose letters align right-to-left."""
-
-    long_form: str
-    short_form: str
-
-    def __post_init__(self):
-        if not _chars_match(self.short_form, self.long_form):
-            raise ValueError(
-                f"short form {self.short_form!r} does not align with {self.long_form!r}"
-            )
-
-
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
@@ -173,12 +162,6 @@ def _rule_drop_type_echo(fragment: str, rules: RuleSet, type_label: str) -> list
     return [fragment]
 
 
-def _rule_abbreviation(fragment: str, rules: RuleSet, type_label: str) -> list[str]:
-    # Detection needs the evidence sentence, which normalize() handles; as a
-    # pure fragment transform this rule changes nothing.
-    return [fragment]
-
-
 _RULE_FUNCS = {
     1: _rule_split_and,
     2: _rule_strip_punct,
@@ -187,7 +170,6 @@ _RULE_FUNCS = {
     5: _rule_min_length,
     6: _rule_stopword,
     7: _rule_drop_type_echo,
-    8: _rule_abbreviation,
 }
 
 
@@ -197,8 +179,12 @@ def apply_rule(rule_id: int, fragment: str, *, rules: RuleSet, type_label: str) 
     Returns the surviving fragments (possibly several for rule 1, possibly
     none for the drop rules). Fragments are whitespace-trimmed on the way in
     and out, and empties are discarded, so chaining apply_rule over the
-    enabled rules reproduces normalize() exactly.
+    enabled rules 1-7 reproduces the surfaces normalize() returns. Rule 8
+    needs the evidence sentence and rules 9-10 need the dictionary matches,
+    so asking for any of them is a ValueError.
     """
+    if rule_id == 8:
+        raise ValueError("rule 8 reads the evidence sentence; normalize() applies it")
     if rule_id in MATCH_TIME_RULES:
         raise ValueError(f"rule {rule_id} applies at dictionary-matching time, not here")
     if rule_id not in _RULE_FUNCS:

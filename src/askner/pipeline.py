@@ -52,12 +52,7 @@ from .retrieval import (
     serialize_results,
     toy_retrieve,
 )
-from .selftrain import (
-    SelfTrainConfig,
-    format_training_log,
-    run_self_training,
-    save_checkpoint,
-)
+from .selftrain import SelfTrainConfig, format_training_log, run_self_training
 
 log = logging.getLogger("askner")
 
@@ -78,16 +73,21 @@ def sha256_file(path: Path) -> str:
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:
-    """Write via temp file + rename so readers never see partial content."""
+    """Write via temp file + rename so readers never see partial content.
+    If anything fails before the rename, the temp file is removed."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Artifacts:

@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, DataError, FetchError
 
@@ -171,15 +171,33 @@ def ingest_results(
     evidence-sentence slice; without one, only record-level checks run.
     Scores must be non-increasing with rank within every question.
     """
+
+    def records() -> Iterator[tuple[object, str]]:
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            where = f"{source}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DataError(f"{where}: invalid JSON: {e}") from None
+            yield obj, where
+
+    return _rank_sorted(records(), corpus)
+
+
+def _rank_sorted(
+    records: Iterable[tuple[object, str]],
+    corpus: Mapping[str, CorpusSentence] | None = None,
+    question_id: str | None = None,
+) -> dict[str, list[RetrievedPhrase]]:
+    """Validate (record, where) pairs into hits grouped per question and
+    sorted by rank, raising DataError in stream order. ``question_id``, if
+    given, is stamped on every record first."""
     groups: dict[str, dict[int, tuple[RetrievedPhrase, str]]] = {}
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        where = f"{source}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{where}: invalid JSON: {e}") from None
+    for obj, where in records:
+        if question_id is not None and isinstance(obj, dict):
+            obj = dict(obj, question_id=question_id)
         p = _phrase_from_record(obj, where)
         if corpus is not None:
             check_evidence(p, corpus, where)
@@ -317,7 +335,7 @@ def fetch_remote(
     question_text: str,
     endpoint: str,
     top_n: int,
-    question_id: str | None = None,
+    question_id: str,
     timeout: float = 10.0,
     attempts: int = 3,
     backoff: float = 0.5,
@@ -361,25 +379,8 @@ def fetch_remote(
             raise DataError(f"{source}: response is not JSON: {e}") from None
         if not isinstance(payload, list):
             raise DataError(f"{source}: expected a JSON array of result records")
-        by_rank: dict[int, RetrievedPhrase] = {}
-        for i, obj in enumerate(payload):
-            where = f"{source} record {i}"
-            if question_id is not None and isinstance(obj, dict):
-                obj = dict(obj, question_id=question_id)
-            p = _phrase_from_record(obj, where)
-            if by_rank and p.question_id != next(iter(by_rank.values())).question_id:
-                raise DataError(f"{where}: mixed question ids in one response")
-            if p.rank in by_rank:
-                raise DataError(f"{where}: duplicate rank {p.rank}")
-            by_rank[p.rank] = p
-        ranked = [by_rank[r] for r in sorted(by_rank)]
-        for prev, cur in zip(ranked, ranked[1:]):
-            if cur.score > prev.score:
-                raise DataError(
-                    f"{source}: score {cur.score} at rank {cur.rank} exceeds "
-                    f"score {prev.score} at rank {prev.rank}"
-                )
-        return ranked
+        records = ((obj, f"{source} record {i}") for i, obj in enumerate(payload))
+        return _rank_sorted(records, question_id=question_id).get(question_id, [])
     raise FetchError(
         f"{source}: retrieval failed after {attempts} attempts: {last_error}",
         attempts=attempts,

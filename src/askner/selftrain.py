@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
 from .annotator import LabeledSentence
@@ -157,11 +156,12 @@ def run_self_training(
     tagger_factory: Callable[[], TaggerInterface],
     config: SelfTrainConfig,
 ) -> SelfTrainResult:
-    """Run the teacher-student schedule and return every round's checkpoint.
+    """Run the teacher-student schedule and return the best round's checkpoint.
 
     ``unlabeled`` is the token side of the sentences being relabeled each
     round — normally the generated dataset's own tokens. The best checkpoint
-    is chosen by validation F1 with earlier rounds winning ties.
+    is chosen by validation F1 with earlier rounds winning ties; only it is
+    kept, so memory does not grow with the number of rounds.
     """
     if not generated:
         raise ConfigError("generated dataset is empty")
@@ -180,7 +180,8 @@ def run_self_training(
 
     rounds: list[RoundRecord] = []
     reports: list[EvalReport] = []
-    checkpoints: list[Checkpoint] = []
+    best: Checkpoint | None = None
+    best_round = 0
     done = 0
     round_no = 0
     while done < config.max_iterations:
@@ -201,7 +202,9 @@ def run_self_training(
         done += steps
         report = _evaluate(student, validation)
         state = student.snapshot()
-        checkpoints.append(Checkpoint(state=state, step=done, f1=report.f1))
+        if best is None or report.f1 > best.f1:
+            best = Checkpoint(state=state, step=done, f1=report.f1)
+            best_round = round_no
         rounds.append(
             RoundRecord(
                 round=round_no,
@@ -215,10 +218,9 @@ def run_self_training(
         if teacher.snapshot() != state:
             raise InternalInvariantError("teacher state diverged from student snapshot")
 
-    best_idx = max(range(len(checkpoints)), key=lambda i: (checkpoints[i].f1, -i))
     return SelfTrainResult(
-        best=checkpoints[best_idx],
-        best_round=best_idx + 1,
+        best=best,
+        best_round=best_round,
         rounds=rounds,
         teacher_report=teacher_report,
         reports=reports,
@@ -231,30 +233,3 @@ def run_self_training(
 def format_training_log(rounds: Sequence[RoundRecord]) -> str:
     lines = [json.dumps(r.to_record(), sort_keys=True) for r in rounds]
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def save_checkpoint(
-    path: str | Path, checkpoint: Checkpoint, seed: int, config_hash: str
-) -> None:
-    """Write the tagger blob plus a JSON sidecar describing it."""
-    path = Path(path)
-    path.write_bytes(checkpoint.state)
-    sidecar = {
-        "step": checkpoint.step,
-        "f1": checkpoint.f1,
-        "seed": seed,
-        "config_hash": config_hash,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def load_checkpoint(path: str | Path) -> tuple[bytes, dict]:
-    path = Path(path)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        sidecar = {}
-    return path.read_bytes(), sidecar

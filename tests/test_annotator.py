@@ -10,7 +10,6 @@ from askner.annotator import (
     dump_dictionary,
     emit_bio,
     match_sentences,
-    refine_boundaries,
     surface_key,
 )
 from askner.errors import InternalInvariantError
@@ -169,13 +168,17 @@ def test_rule10_skips_expansion_that_would_overlap():
     ]
 
 
-def test_refine_boundaries_single_span():
+def test_rule10_grows_rightward_and_needs_a_containing_quality_phrase():
     s = sent("s1", "the Museum of Modern Art")
-    span = MatchSpan("s1", 1, 2, "museum")
-    grown = refine_boundaries(span, s, ["Museum of Modern Art"])
-    assert (grown.token_start, grown.token_end) == (1, 5)
-    assert refine_boundaries(span, s, []) is span
-    assert refine_boundaries(span, s, ["Modern Art"]) is span
+
+    def spans(quality):
+        got = match_sentences(_dict("Museum", quality=quality), [s], RULE10)
+        return [(m.token_start, m.token_end, m.phrase_key) for m in got]
+
+    assert spans(["Museum of Modern Art"]) == [(1, 5, "museum")]
+    assert spans([]) == [(1, 2, "museum")]
+    # a quality phrase elsewhere in the sentence does not contain the match
+    assert spans(["Modern Art"]) == [(1, 2, "museum")]
 
 
 # -- apportionment ----------------------------------------------------------

@@ -3,7 +3,10 @@ plus the HTTP retrieval client against a local test server."""
 
 from __future__ import annotations
 
+import errno
+import hashlib
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -18,6 +21,7 @@ from askner.cli import main
 from askner.config import load_config
 from askner.conll import read_conll
 from askner.errors import DataError, FetchError, InternalInvariantError
+from askner.pipeline import cmd_generate
 from askner.querygen import build_question_set
 from askner.retrieval import fetch_remote, read_results, serialize_results
 
@@ -161,6 +165,48 @@ def test_selftrain_separate_unlabeled_pool(tmp_path):
     assert manifest["counts"]["unlabeled_sentences"] == 200
 
 
+# sha256 of the artifacts that a change meant to keep behaviour must leave
+# byte-identical. manifest.json is left out: its config_hash covers resolved
+# paths, so it differs between checkouts.
+PINNED_DIGESTS = {
+    ("demo", "dataset.conll"):
+        "a272bf0e008190b3b138283aecf323e106a3e37ae96d8ed4ca88a076271ed5be",
+    ("demo", "dictionary.tsv"):
+        "f2557c1896d8e71e8af9efc202d353f9c3e32d0d43f05d18cdb827916332584d",
+    ("synthetic", "dataset.conll"):
+        "5a2bd85179649d8b26abfbd0c2915f7fa2b7169af31f5a2d303d209a1cd492dc",
+    ("synthetic", "dictionary.tsv"):
+        "18dabca19f1af90f9e274c4c959fe4a6a8b642c280ddf606cae85b101931f210",
+    ("selftrain", "checkpoint.pkl"):
+        "28a5f51ae0343a7b392ded814222fc35ea4ec239cc029e73c941fa01ef77f9d3",
+    ("selftrain", "checkpoint.pkl.json"):
+        "4684866c8015fbb005b04b327c268b42046b8213dc124f66e537b3bafeb4c788",
+    ("selftrain", "training_log.jsonl"):
+        "89706dfc2ed2e2733db40f7c62b30ff3c63d2d427c7f32b374e839ca83ce1afd",
+    ("selftrain", "report.json"):
+        "03f520f02da9d2d60a31f449b625634437581a04d7da030fc9d230367c42beb5",
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path):
+    for name in ("demo", "synthetic"):
+        config = REPO / "data" / name / "config.yaml"
+        rc = main(["-q", "generate", "--config", str(config), "--out", str(tmp_path / name)])
+        assert rc == 0
+    rc = main([
+        "-q", "selftrain", "--config", str(SYNTH / "config.yaml"),
+        "--dataset", str(tmp_path / "synthetic" / "dataset.conll"),
+        "--validation", str(SYNTH / "validation.conll"),
+        "--out", str(tmp_path / "selftrain"),
+    ])
+    assert rc == 0
+    got = {
+        (run, name): hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest()
+        for run, name in PINNED_DIGESTS
+    }
+    assert got == PINNED_DIGESTS
+
+
 def test_selftrain_without_schedule_is_config_error(tmp_path):
     rc = main([
         "-q", "selftrain", "--config", str(DEMO / "config.yaml"),
@@ -193,6 +239,23 @@ def test_internal_invariant_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr("askner.cli.cmd_eval", explode)
     rc = main(["eval", str(DEMO / "gold.conll"), str(DEMO / "gold.conll")])
     assert rc == 3
+
+
+def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch):
+    real_fsync = os.fsync
+    calls = []
+
+    def fsync(fd):
+        calls.append(fd)
+        if len(calls) == 2:  # the second artifact, after the first is in place
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_fsync(fd)
+
+    monkeypatch.setattr("askner.pipeline.os.fsync", fsync)
+    out = tmp_path / "gen"
+    with pytest.raises(OSError):
+        cmd_generate(load_config(DEMO / "config.yaml"), out=out)
+    assert list(out.iterdir()) == []
 
 
 # -- retrieve -----------------------------------------------------------------
@@ -321,7 +384,9 @@ def test_fetch_remote_success_stamps_question_id(server):
 
 def test_fetch_remote_retries_server_errors(server):
     server.replies["Which city?"] = [(503, "down"), (200, [_record(1)])]
-    results = fetch_remote("Which city?", server.url, 1, attempts=3, backoff=0)
+    results = fetch_remote(
+        "Which city?", server.url, 1, question_id="city:city", attempts=3, backoff=0
+    )
     assert len(results) == 1
     assert len(server.seen) == 2
 
@@ -329,7 +394,7 @@ def test_fetch_remote_retries_server_errors(server):
 def test_fetch_remote_gives_up_after_attempts(server):
     server.replies["Which city?"] = [(500, "down")] * 3
     with pytest.raises(FetchError) as err:
-        fetch_remote("Which city?", server.url, 1, attempts=3, backoff=0)
+        fetch_remote("Which city?", server.url, 1, question_id="city:city", attempts=3, backoff=0)
     assert err.value.attempts == 3
     assert len(server.seen) == 3
 
@@ -337,14 +402,32 @@ def test_fetch_remote_gives_up_after_attempts(server):
 def test_fetch_remote_4xx_is_data_error_without_retry(server):
     server.replies["Which city?"] = [(404, "nope")]
     with pytest.raises(DataError):
-        fetch_remote("Which city?", server.url, 1, attempts=3, backoff=0)
+        fetch_remote("Which city?", server.url, 1, question_id="city:city", attempts=3, backoff=0)
     assert len(server.seen) == 1
 
 
 def test_fetch_remote_non_json_is_data_error(server):
     server.replies["Which city?"] = [(200, "this is not json")]
     with pytest.raises(DataError):
-        fetch_remote("Which city?", server.url, 1, attempts=2, backoff=0)
+        fetch_remote("Which city?", server.url, 1, question_id="city:city", attempts=2, backoff=0)
+    assert len(server.seen) == 1
+
+
+def test_fetch_remote_duplicate_rank_is_data_error_without_retry(server):
+    server.replies["Which city?"] = [(200, [_record(1), _record(2), _record(1)])]
+    with pytest.raises(DataError, match=r"record 2: duplicate rank 1 .*'city:city'.*record 0") as err:
+        fetch_remote("Which city?", server.url, 3, question_id="city:city", attempts=3, backoff=0)
+    assert "Which city?" in str(err.value)
+    assert len(server.seen) == 1
+
+
+def test_fetch_remote_rising_score_is_data_error_without_retry(server):
+    # records arrive out of rank order; the check runs on the rank-sorted hits
+    payload = [_record(2, score=80.0), _record(1, score=70.0)]
+    server.replies["Which city?"] = [(200, payload)]
+    with pytest.raises(DataError, match=r"score 80.0 at rank 2 exceeds .*'city:city'") as err:
+        fetch_remote("Which city?", server.url, 2, question_id="city:city", attempts=3, backoff=0)
+    assert "Which city?" in str(err.value)
     assert len(server.seen) == 1
 
 

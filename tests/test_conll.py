@@ -1,6 +1,6 @@
 import pytest
 
-from askner.conll import format_conll, parse_conll, read_conll, write_conll
+from askner.conll import format_conll, parse_conll, read_conll
 from askner.errors import DataError
 from testutil import labeled
 
@@ -35,7 +35,7 @@ def test_roundtrip_identity():
 
 def test_file_roundtrip(tmp_path):
     path = tmp_path / "data.conll"
-    write_conll(path, _sentences())
+    path.write_text(format_conll(_sentences()), encoding="utf-8")
     assert read_conll(path) == _sentences()
 
 

@@ -50,7 +50,6 @@ def test_entity_set_collects_across_sentences():
     ]
     es = EntitySet.from_sentences(sents)
     assert es.entities == {("s1", 0, 1, "LOC"), ("s2", 0, 1, "PER")}
-    assert es.sentence_ids == ("s1", "s2")
 
 
 # -- F1 ---------------------------------------------------------------------

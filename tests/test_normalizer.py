@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from askner.normalizer import (
-    AbbreviationPair,
     NormalizedPhrase,
     RuleSet,
     apply_rule,
@@ -75,8 +74,9 @@ def test_rule7_drops_type_echo():
     assert run(7, "sports  team", type_label="sports team") == []
 
 
-def test_rule8_is_identity_on_fragments():
-    assert run(8, "Crohn's disease") == ["Crohn's disease"]
+def test_rule8_is_applied_only_by_normalize():
+    with pytest.raises(ValueError, match="normalize"):
+        run(8, "Crohn's disease")
 
 
 def test_match_time_rules_rejected():
@@ -200,12 +200,6 @@ def test_abbreviation_needs_adjacent_parenthesis():
 def test_abbreviation_scans_later_occurrences():
     text = "Xenon Fever spread. Xenon Fever (XF) was named."
     assert detect_abbreviation("Xenon Fever", text) == "XF"
-
-
-def test_abbreviation_pair_validates():
-    AbbreviationPair("Crohn's disease", "CD")
-    with pytest.raises(ValueError):
-        AbbreviationPair("heart attack", "stroke")
 
 
 # -- odds and ends ----------------------------------------------------------

@@ -112,8 +112,9 @@ def test_ingest_validates_against_corpus():
 
 
 def test_ingest_rejects_duplicate_rank_with_line_number():
-    lines = _lines(phrase(rank=3), phrase(rank=3))
-    with pytest.raises(DataError, match=":2.*duplicate rank 3"):
+    # the duplicate on line 2 is reported before the bad JSON on line 3
+    lines = _lines(phrase(rank=3), phrase(rank=3)) + ["not json"]
+    with pytest.raises(DataError, match=r":2.*duplicate rank 3.*\(first at <results>:1\)"):
         ingest_results(lines)
 
 

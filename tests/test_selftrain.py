@@ -5,12 +5,9 @@ import pytest
 from askner.errors import ConfigError
 from askner.selftrain import (
     SCHEDULE_PRESETS,
-    Checkpoint,
     SelfTrainConfig,
     expected_rounds,
-    load_checkpoint,
     run_self_training,
-    save_checkpoint,
 )
 from testutil import labeled
 
@@ -140,12 +137,3 @@ def test_preset_defaults_to_six_rounds():
     assert expected_rounds(override) == 2
     with pytest.raises(ConfigError, match="preset"):
         SelfTrainConfig.from_preset("nope")
-
-
-def test_checkpoint_save_load(tmp_path):
-    ckpt = Checkpoint(state=b"\x00blob", step=6, f1=0.5)
-    path = tmp_path / "model.pkl"
-    save_checkpoint(path, ckpt, seed=3, config_hash="abc")
-    blob, sidecar = load_checkpoint(path)
-    assert blob == b"\x00blob"
-    assert sidecar == {"step": 6, "f1": 0.5, "seed": 3, "config_hash": "abc"}
