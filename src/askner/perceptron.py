@@ -4,12 +4,19 @@ A dependency-free baseline for the self-training loop: greedy left-to-right
 decoding over BIO tags with an illegal-transition mask, simple lexical and
 shape features, and weight averaging over update steps. Deterministic for a
 fixed seed, dataset, and step count.
+
+Training decodes from the live weights feature by feature, because every
+update changes them; ``predict`` compiles the averaged weights once per call
+into per-word score tuples. Both break ties toward the earliest tag in
+``tags``, which lists "O" first.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
+from itertools import chain
 from typing import Sequence
 
 from .annotator import LabeledSentence
@@ -94,7 +101,7 @@ class AveragedPerceptronTagger:
 
     def _update(self, sent: LabeledSentence) -> None:
         words = sent.tokens
-        pred = self._decode(words, averaged=False)
+        pred = self._decode(words)
         if list(pred) == list(sent.tags):
             return
         for i in range(len(words)):
@@ -132,14 +139,9 @@ class AveragedPerceptronTagger:
                 avg[feat] = arow
         return avg
 
-    def _decode(
-        self,
-        words: Sequence[str],
-        averaged: bool = True,
-        table: dict[str, dict[str, float]] | None = None,
-    ) -> list[str]:
-        if table is None:
-            table = self._averaged() if averaged else self.weights
+    def _decode(self, words: Sequence[str]) -> list[str]:
+        """Greedy decode with the live (unaveraged) weights, for training."""
+        table = self.weights
         tags = []
         prev = START
         for i in range(len(words)):
@@ -162,9 +164,70 @@ class AveragedPerceptronTagger:
 
     def predict(self, sentences: Sequence[Sequence[str]]) -> list[list[str]]:
         """Tag token sequences; output lengths mirror inputs and tags are
-        BIO-legal by construction. Ties break toward "O", then tag order."""
-        table = self._averaged()
-        return [self._decode(words, table=table) for words in sentences]
+        BIO-legal by construction.
+
+        The averaged weights are compiled once per call: each feature row
+        becomes a tuple of floats aligned with ``self.tags``. Each distinct
+        word gets its lexical sum (bias + w + shape + pre + suf) and the
+        ``prev=``/``next=`` rows it gives its neighbours; each previous tag
+        (``START`` included) gets its ``ptag=`` row, with -inf on the tags it
+        makes illegal. Decoding is greedy, left to right: a tag scores
+        ``((lex + prev) + next) + ptag``, adding the features in the order
+        ``_features`` lists them, so every score is bit-equal to summing the
+        feature rows one by one. The highest-scoring legal tag wins and ties
+        go to the earliest in ``self.tags``, so "O" wins every tie it is in.
+        Nothing compiled outlives the call.
+        """
+        tags = self.tags
+        avg = self._averaged()
+        zeros = (0.0,) * len(tags)
+
+        def row(feat: str) -> tuple[float, ...]:
+            arow = avg.get(feat)
+            return tuple(arow.get(tag, 0.0) for tag in tags) if arow else zeros
+
+        bias = row(_BIAS)
+        lexes: dict[str, tuple[float, ...]] = {}
+        prevs: dict[str, tuple[float, ...]] = {}
+        nexts: dict[str, tuple[float, ...]] = {}
+        for word in dict.fromkeys(chain.from_iterable(sentences)):
+            lower = word.lower()
+            parts = (
+                row(f"w={lower}"),
+                row(f"shape={word_shape(word)}"),
+                row(f"pre={lower[:3]}"),
+                row(f"suf={lower[-3:]}"),
+            )
+            lexes[word] = tuple(b + w + s + p + x for b, w, s, p, x in zip(bias, *parts))
+            prevs[word] = row(f"prev={lower}")
+            nexts[word] = row(f"next={lower}")
+        # An illegal tag scores -inf, so it never beats the legal "O" or B-*.
+        ptags = {
+            prev: [
+                w if _legal(prev, tag) else -math.inf
+                for tag, w in zip(tags, row(f"ptag={prev}"))
+            ]
+            for prev in [START, *tags]
+        }
+        start_row = row(f"prev={START}")
+        end_row = row(f"next={END}")
+        out = []
+        for words in sentences:
+            seq = []
+            prev = START
+            for lex, prev_row, next_row in zip(
+                map(lexes.__getitem__, words),
+                [start_row, *map(prevs.__getitem__, words[:-1])],
+                [*map(nexts.__getitem__, words[1:]), end_row],
+            ):
+                scores = [
+                    a + b + c + d for a, b, c, d in zip(lex, prev_row, next_row, ptags[prev])
+                ]
+                # index() finds the first maximum: the strict ">" tie rule.
+                prev = tags[scores.index(max(scores))]
+                seq.append(prev)
+            out.append(seq)
+        return out
 
     # -- state ------------------------------------------------------------
 

@@ -320,6 +320,10 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
     )
 
     inputs: dict[str, Path] = {"corpus": config.corpus_path}
+    if config.stopwords_path:
+        inputs["stopwords"] = config.stopwords_path
+    if config.quality_phrases_path:
+        inputs["quality_phrases"] = config.quality_phrases_path
     if config.retrieval.mode == "replay":
         groups = read_results(config.retrieval.results_path, corpus)
         inputs["results"] = config.retrieval.results_path

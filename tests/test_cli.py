@@ -68,6 +68,38 @@ def test_generate_writes_dataset_dictionary_manifest(tmp_path, capsys):
     assert manifest["counts"]["entities"] == 11
     assert manifest["counts"]["abbreviation_patterns"] == 1
     assert set(manifest["outputs"]) == {"dataset.conll", "dictionary.tsv"}
+    assert set(manifest["inputs"]) == {"corpus", "results"}
+
+
+def test_manifest_digests_configured_word_lists(tmp_path):
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("the\nof\n", encoding="utf-8")
+    quality = tmp_path / "quality.txt"
+    quality.write_text("New York City\n", encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        (DEMO / "config.yaml").read_text(encoding="utf-8")
+        .replace("corpus: corpus.jsonl", f"corpus: {DEMO / 'corpus.jsonl'}")
+        .replace("results: results.jsonl", f"results: {DEMO / 'results.jsonl'}")
+        + "stopwords: stopwords.txt\nquality_phrases: quality.txt\n",
+        encoding="utf-8",
+    )
+
+    def inputs(run: str) -> dict:
+        rc = main(["-q", "generate", "--config", str(config), "--out", str(tmp_path / run)])
+        assert rc == 0
+        return json.loads((tmp_path / run / "manifest.json").read_text())["inputs"]
+
+    first = inputs("first")
+    assert first["stopwords"] == hashlib.sha256(stopwords.read_bytes()).hexdigest()
+    assert first["quality_phrases"] == hashlib.sha256(quality.read_bytes()).hexdigest()
+    quality.write_text("New York City\nSan Francisco\n", encoding="utf-8")
+    second = inputs("second")
+    assert second["quality_phrases"] == hashlib.sha256(quality.read_bytes()).hexdigest()
+    assert second["quality_phrases"] != first["quality_phrases"]
+    assert {k: v for k, v in second.items() if k != "quality_phrases"} == {
+        k: v for k, v in first.items() if k != "quality_phrases"
+    }
 
 
 def test_eval_against_demo_gold(tmp_path, capsys):

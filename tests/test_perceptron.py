@@ -1,7 +1,13 @@
 import random
 
 from askner.metrics import extract_entities
-from askner.perceptron import AveragedPerceptronTagger, word_shape
+from askner.perceptron import (
+    START,
+    AveragedPerceptronTagger,
+    _features,
+    _legal,
+    word_shape,
+)
 from testutil import labeled
 
 
@@ -90,3 +96,123 @@ def test_zero_steps_is_a_no_op():
     a = AveragedPerceptronTagger()
     a.train(_dataset(), steps=0, seed=1)
     assert a.predict([["Oslo"]]) == [["O"]]
+
+
+def test_predict_leaves_no_state_behind():
+    a = AveragedPerceptronTagger()
+    a.train(_dataset(), steps=20, seed=5)
+    other = AveragedPerceptronTagger()
+    acme = labeled("x", ["Acme", "hired"], ["B-ORG", "O"])
+    other.train(_dataset()[:2] + [acme], steps=9, seed=1)
+    probe = [["Oslo", "met", "Anna"], ["Acme", "hired", "Anna"], []]
+    before, attrs = a.snapshot(), set(vars(a))
+    first = a.predict(probe)
+    assert a.snapshot() == before
+    assert set(vars(a)) == attrs
+
+    a.restore(other.snapshot())
+    fresh = AveragedPerceptronTagger()
+    fresh.restore(other.snapshot())
+    assert a.predict(probe) == fresh.predict(probe) != first
+
+
+# -- predict against the dict-based decoder it replaced ------------------------
+
+
+def _reference_decode(tagger, table, words):
+    """The greedy loop ``predict`` ran before it compiled the weights,
+    verbatim: features summed one by one, strict ">" over legal tags."""
+    tags = []
+    prev = START
+    for i in range(len(words)):
+        feats = _features(words, i, prev)
+        best_tag = None
+        best_score = None
+        for tag in tagger.tags:
+            if not _legal(prev, tag):
+                continue
+            score = 0.0
+            for feat in feats:
+                row = table.get(feat)
+                if row:
+                    score += row.get(tag, 0.0)
+            if best_score is None or score > best_score:
+                best_tag, best_score = tag, score
+        tags.append(best_tag)
+        prev = best_tag
+    return tags
+
+
+def _reference_predict(tagger, sentences):
+    table = tagger._averaged()
+    return [_reference_decode(tagger, table, words) for words in sentences]
+
+
+# Boundary markers, the empty token, and words whose lowercase changes
+# length or leaves ASCII, next to plain words that share their features.
+VOCAB = ["<s>", "</s>", "", "ÉCOLE", "école", "ß", "SS", "İstanbul", "Oslo", "oslo",
+         "New", "York", "iPhone12", "3M", "co-op", "the", "Anna", "."]
+# Sums of these depend on the order they are added in: (0.1 + 0.2) + 0.3 and
+# 0.1 + (0.2 + 0.3) differ in the last bit, and 0.6 ties one but not the other.
+WEIGHTS = [0.1, 0.2, 0.3, 0.6, -0.1, -0.2, -0.3, 0.7]
+
+
+def _random_tags(rng):
+    tags = {"O"}
+    for etype in rng.sample(["PER", "LOC", "ORG", "city", "disease"], rng.randint(1, 3)):
+        tags.update(p + etype for p in ("B-", "I-") if rng.random() < 0.8)
+    return sorted(tags, key=lambda t: (t != "O", t))
+
+
+def _random_sentence(rng, max_len=7):
+    return [rng.choice(VOCAB) for _ in range(rng.randint(0, max_len))]
+
+
+def _random_model(rng):
+    """A tagger whose weights hit the features of random VOCAB sentences.
+    Half are built directly (one tick, so the averaged weights are the raw
+    ones and ties abound), half by training on random labels."""
+    tagger = AveragedPerceptronTagger()
+    tagger.tags = _random_tags(rng)
+    if rng.random() < 0.5:
+        feats = set()
+        for _ in range(6):
+            words = _random_sentence(rng) or ["Oslo"]
+            for i in range(len(words)):
+                feats.update(_features(words, i, rng.choice([START, *tagger.tags])))
+        for feat in feats:
+            if rng.random() < 0.8:
+                tagger.weights[feat] = {
+                    tag: rng.choice(WEIGHTS) for tag in tagger.tags if rng.random() < 0.7
+                }
+        tagger._ticks = 1
+    else:
+        data = []
+        for i in range(rng.randint(1, 6)):
+            words = _random_sentence(rng) or ["Oslo"]
+            gold, prev = [], START
+            for _ in words:
+                prev = rng.choice([t for t in tagger.tags if _legal(prev, t)])
+                gold.append(prev)
+            data.append(labeled(f"r{i}", words, gold))
+        tagger.train(data, steps=rng.randint(1, 25), seed=rng.randint(0, 99))
+    return tagger
+
+
+def test_predict_matches_reference_decoder_on_random_models():
+    for seed in range(240):
+        rng = random.Random(seed)
+        tagger = _random_model(rng)
+        batch = [_random_sentence(rng) for _ in range(rng.randint(1, 6))] + [[], VOCAB]
+        assert tagger.predict(batch) == _reference_predict(tagger, batch), seed
+        assert tagger.predict([]) == []
+
+
+def test_untrained_tagger_breaks_every_tie_toward_o():
+    for seed in range(20):
+        rng = random.Random(seed)
+        tagger = AveragedPerceptronTagger()
+        tagger.tags = _random_tags(rng)
+        batch = [_random_sentence(rng) for _ in range(4)] + [[], VOCAB]
+        expected = [["O"] * len(words) for words in batch]
+        assert tagger.predict(batch) == _reference_predict(tagger, batch) == expected
