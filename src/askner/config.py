@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -141,63 +142,24 @@ class PipelineConfig:
     corpus_path: Path
     retrieval: RetrievalSettings
     output_dir: Path
+    base_dir: Path  # the config's folder; relative paths in it resolve here
     default_k_l: int | None = None
     default_rules: tuple[int, ...] = ()
     min_length: int = DEFAULT_MIN_LENGTH
     stopwords_path: Path | None = None
     quality_phrases_path: Path | None = None
     selftrain: SelfTrainConfig | None = None
-    source_path: Path | None = None
 
     def config_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(_describe(self), sort_keys=True).encode("utf-8")
-        ).hexdigest()
-
-
-def _describe(cfg: PipelineConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "template": cfg.template.pattern,
-        "types": [
-            {
-                "name": t.name,
-                "k_l": t.k_l,
-                "rules": list(t.rules) if t.rules is not None else None,
-                "labels": [
-                    {
-                        "label": l.label,
-                        "k_l": l.k_l,
-                        "rules": list(l.rules) if l.rules is not None else None,
-                    }
-                    for l in t.labels
-                ],
-            }
-            for t in cfg.types
-        ],
-        "corpus": str(cfg.corpus_path),
-        "retrieval": {
-            "mode": cfg.retrieval.mode,
-            "results": str(cfg.retrieval.results_path) if cfg.retrieval.results_path else None,
-            "endpoint": cfg.retrieval.endpoint,
-            "top_n": cfg.retrieval.top_n,
-            "timeout": cfg.retrieval.timeout,
-            "attempts": cfg.retrieval.attempts,
-        },
-        "default_k_l": cfg.default_k_l,
-        "default_rules": list(cfg.default_rules),
-        "min_length": cfg.min_length,
-        "stopwords": str(cfg.stopwords_path) if cfg.stopwords_path else None,
-        "quality_phrases": str(cfg.quality_phrases_path) if cfg.quality_phrases_path else None,
-        "selftrain": {
-            "t_begin": cfg.selftrain.t_begin,
-            "t_update": cfg.selftrain.t_update,
-            "max_iterations": cfg.selftrain.max_iterations,
-        }
-        if cfg.selftrain
-        else None,
-        "output_dir": str(cfg.output_dir),
-    }
+        """sha256 of every field but ``output_dir`` (``--out`` overrides it)
+        and ``base_dir``, with paths written relative to ``base_dir``, so
+        neither the config's location nor how its path is spelled matters."""
+        doc = dataclasses.asdict(self)
+        del doc["output_dir"], doc["base_dir"]
+        blob = json.dumps(
+            doc, sort_keys=True, default=lambda path: os.path.relpath(path, self.base_dir)
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _want(obj: Mapping, key: str, kind, where: str, default=None, required=False):
@@ -283,13 +245,10 @@ def _parse_selftrain(obj: Any, where: str, seed: int) -> SelfTrainConfig | None:
         base = SelfTrainConfig.from_preset(
             preset, max_iterations=_want(obj, "max_iterations", int, where), seed=seed
         )
-        t_begin = _want(obj, "t_begin", int, where, default=base.t_begin)
-        t_update = _want(obj, "t_update", int, where, default=base.t_update)
-        return SelfTrainConfig(
-            t_begin=t_begin,
-            t_update=t_update,
-            max_iterations=base.max_iterations,
-            seed=seed,
+        return dataclasses.replace(
+            base,
+            t_begin=_want(obj, "t_begin", int, where, default=base.t_begin),
+            t_update=_want(obj, "t_update", int, where, default=base.t_update),
         )
     return SelfTrainConfig(
         t_begin=_want(obj, "t_begin", int, where, required=True),
@@ -366,13 +325,13 @@ def parse_config(
         corpus_path=base_dir / corpus,
         retrieval=retrieval,
         output_dir=base_dir / output_dir,
+        base_dir=base_dir,
         default_k_l=default_k_l,
         default_rules=default_rules,
         min_length=min_length,
         stopwords_path=(base_dir / stop) if stop else None,
         quality_phrases_path=(base_dir / quality) if quality else None,
         selftrain=_parse_selftrain(obj.get("selftrain"), f"{source}.selftrain", seed),
-        source_path=None,
     )
 
 
@@ -387,5 +346,4 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
         obj = yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: invalid YAML: {e}") from None
-    cfg = parse_config(obj, base_dir=path.parent, source=str(path), seed_override=seed_override)
-    return dataclasses.replace(cfg, source_path=path)
+    return parse_config(obj, base_dir=path.parent, source=str(path), seed_override=seed_override)

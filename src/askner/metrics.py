@@ -85,27 +85,6 @@ class EvalReport:
     correct: int
     per_type: dict[str, TypeScore] = field(hash=False, default_factory=dict)
 
-    def to_record(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "gold": self.gold,
-            "predicted": self.predicted,
-            "correct": self.correct,
-            "per_type": {
-                t: {
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "gold": s.gold,
-                    "predicted": s.predicted,
-                    "correct": s.correct,
-                }
-                for t, s in sorted(self.per_type.items())
-            },
-        }
-
 
 def _prf(gold: int, predicted: int, correct: int) -> tuple[float, float, float]:
     p = correct / predicted if predicted else 0.0

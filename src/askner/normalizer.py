@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -41,15 +40,14 @@ MATCH_TIME_RULES = frozenset({9, 10})
 
 DEFAULT_MIN_LENGTH = 3
 
+#: The stopword list rule 6 uses when a config names none.
+BUNDLED_STOPWORDS = Path(__file__).parent / "data" / "stopwords.txt"
+
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load one stopword per line; ``#`` starts a comment. None = bundled list."""
-    if path is None:
-        text = resources.files("askner").joinpath("data/stopwords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
     words = set()
-    for line in text.splitlines():
+    for line in Path(path or BUNDLED_STOPWORDS).read_text("utf-8").splitlines():
         word = line.split("#", 1)[0].strip().lower()
         if word:
             words.add(word)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -38,7 +38,7 @@ from .metrics import (
     EntitySet,
     precision_at_k,
 )
-from .normalizer import RuleSet, load_stopwords, normalize
+from .normalizer import BUNDLED_STOPWORDS, RuleSet, load_stopwords, normalize
 from .perceptron import AveragedPerceptronTagger
 from .querygen import SubQuestion, build_question_set
 from .retrieval import (
@@ -52,7 +52,7 @@ from .retrieval import (
     serialize_results,
     toy_retrieve,
 )
-from .selftrain import SelfTrainConfig, format_training_log, run_self_training
+from .selftrain import format_training_log, run_self_training
 
 log = logging.getLogger("askner")
 
@@ -122,8 +122,8 @@ def load_phrase_list(path: Path) -> list[str]:
     return phrases
 
 
-def _require_files(*paths: Path | None) -> None:
-    missing = [str(p) for p in paths if p is not None and not Path(p).is_file()]
+def _require_files(*paths: Path) -> None:
+    missing = [str(p) for p in paths if not Path(p).is_file()]
     if missing:
         raise ConfigError(f"missing input files: {', '.join(missing)}")
 
@@ -300,33 +300,30 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
     """Produce the weakly labeled dataset: retrieve (or replay), budget,
     normalize, build the dictionary, annotate, and write the artifacts."""
     out_dir = out or config.output_dir
-    _require_files(
-        config.corpus_path,
-        config.stopwords_path,
-        config.quality_phrases_path,
-        config.retrieval.results_path if config.retrieval.mode == "replay" else None,
-    )
+    inputs: dict[str, Path] = {
+        "corpus": config.corpus_path,
+        "stopwords": config.stopwords_path or BUNDLED_STOPWORDS,
+    }
+    if config.quality_phrases_path:
+        inputs["quality_phrases"] = config.quality_phrases_path
+    if config.retrieval.mode == "replay":
+        inputs["results"] = config.retrieval.results_path
+    _require_files(*inputs.values())
     corpus = load_corpus(config.corpus_path)
     log.info("generate: corpus %d sentences", len(corpus))
     questions = build_question_set(
         config.types, config.template, config.default_k_l, config.default_rules
     )
     log.info("generate: %d sub-questions", len(questions))
-    stopwords = load_stopwords(config.stopwords_path)
+    stopwords = load_stopwords(inputs["stopwords"])
     quality = (
         load_phrase_list(config.quality_phrases_path)
         if config.quality_phrases_path
         else []
     )
 
-    inputs: dict[str, Path] = {"corpus": config.corpus_path}
-    if config.stopwords_path:
-        inputs["stopwords"] = config.stopwords_path
-    if config.quality_phrases_path:
-        inputs["quality_phrases"] = config.quality_phrases_path
     if config.retrieval.mode == "replay":
         groups = read_results(config.retrieval.results_path, corpus)
-        inputs["results"] = config.retrieval.results_path
     else:
         groups = _retrieve_groups(config, questions, corpus)
     results_total = sum(len(v) for v in groups.values())
@@ -459,9 +456,13 @@ def cmd_selftrain(
     otherwise it re-labels the training sentences themselves. A separate pool
     helps most when it contains mentions the pseudo-dictionary missed.
     """
-    if config.selftrain is None:
+    schedule = config.selftrain
+    if schedule is None:
         raise ConfigError("config has no selftrain section")
-    _require_files(dataset_path, validation_path, unlabeled_path)
+    inputs = {"dataset": dataset_path, "validation": validation_path}
+    if unlabeled_path is not None:
+        inputs["unlabeled"] = unlabeled_path
+    _require_files(*inputs.values())
     dataset = read_conll(dataset_path)
     validation = read_conll(validation_path)
     if not dataset:
@@ -475,12 +476,6 @@ def cmd_selftrain(
             raise DataError(f"{unlabeled_path}: no sentences")
     else:
         unlabeled = [s.tokens for s in dataset]
-    schedule = SelfTrainConfig(
-        t_begin=config.selftrain.t_begin,
-        t_update=config.selftrain.t_update,
-        max_iterations=config.selftrain.max_iterations,
-        seed=config.seed,
-    )
     log.info(
         "selftrain: t_begin=%d t_update=%d max_iterations=%d seed=%d",
         schedule.t_begin, schedule.t_update, schedule.max_iterations, schedule.seed,
@@ -519,16 +514,13 @@ def cmd_selftrain(
         )
         artifacts.write(log_path, format_training_log(result.rounds))
         report = {
-            "teacher": result.teacher_report.to_record(),
-            "rounds": [r.to_record() for r in result.rounds],
-            "round_reports": [r.to_record() for r in result.reports],
+            "teacher": asdict(result.teacher_report),
+            "rounds": [asdict(r) for r in result.rounds],
+            "round_reports": [asdict(r) for r in result.reports],
             "best_round": result.best_round,
             "best_f1": result.best.f1,
         }
         artifacts.write(report_path, _dump_json(report))
-        inputs = {"dataset": dataset_path, "validation": validation_path}
-        if unlabeled_path is not None:
-            inputs["unlabeled"] = unlabeled_path
         manifest = _manifest(
             "selftrain",
             config,
@@ -575,7 +567,7 @@ def cmd_eval(gold_path: Path, pred_path: Path, out: Path | None = None) -> EvalR
             raise DataError(f"token mismatch in sentence {g.sentence_id}")
     report = entity_f1(EntitySet.from_sentences(gold), EntitySet.from_sentences(pred))
     if out is not None:
-        atomic_write(out, _dump_json(report.to_record()))
+        atomic_write(out, _dump_json(asdict(report)))
     return report
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Protocol, Sequence
 
 from .annotator import LabeledSentence
@@ -80,15 +80,7 @@ class SelfTrainConfig:
         return cls(t_begin=t_begin, t_update=t_update, max_iterations=max_iterations, seed=seed)
 
     def config_hash(self) -> str:
-        blob = json.dumps(
-            {
-                "t_begin": self.t_begin,
-                "t_update": self.t_update,
-                "max_iterations": self.max_iterations,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
+        blob = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -107,14 +99,6 @@ class RoundRecord:
     teacher_steps: int
     student_steps: int
     validation_f1: float
-
-    def to_record(self) -> dict:
-        return {
-            "round": self.round,
-            "teacher_steps": self.teacher_steps,
-            "student_steps": self.student_steps,
-            "validation_f1": self.validation_f1,
-        }
 
 
 @dataclass
@@ -231,5 +215,5 @@ def run_self_training(
 
 
 def format_training_log(rounds: Sequence[RoundRecord]) -> str:
-    lines = [json.dumps(r.to_record(), sort_keys=True) for r in rounds]
+    lines = [json.dumps(asdict(r), sort_keys=True) for r in rounds]
     return "\n".join(lines) + "\n" if lines else ""

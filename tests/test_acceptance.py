@@ -9,6 +9,7 @@ constants and act as regression bounds.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from collections import Counter
@@ -499,6 +500,16 @@ def test_7_determinism_and_round_trips(tmp_path):
     for name in ("dataset.conll", "dictionary.tsv", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     assert first.counts == second.counts
+
+    # The manifest does not depend on how the config path is spelled.
+    relative = load_config(os.path.relpath(SYNTHETIC / "config.yaml"))
+    absolute = load_config((SYNTHETIC / "config.yaml").resolve())
+    assert not relative.base_dir.is_absolute() and absolute.base_dir.is_absolute()
+    cmd_generate(relative, out=tmp_path / "relative")
+    cmd_generate(absolute, out=tmp_path / "absolute")
+    manifest = (tmp_path / "a" / "manifest.json").read_bytes()
+    assert (tmp_path / "relative" / "manifest.json").read_bytes() == manifest
+    assert (tmp_path / "absolute" / "manifest.json").read_bytes() == manifest
 
     rng = random.Random(2741)
 

@@ -21,6 +21,7 @@ from askner.cli import main
 from askner.config import load_config
 from askner.conll import read_conll
 from askner.errors import DataError, FetchError, InternalInvariantError
+from askner.normalizer import BUNDLED_STOPWORDS
 from askner.pipeline import cmd_generate
 from askner.querygen import build_question_set
 from askner.retrieval import fetch_remote, read_results, serialize_results
@@ -68,7 +69,9 @@ def test_generate_writes_dataset_dictionary_manifest(tmp_path, capsys):
     assert manifest["counts"]["entities"] == 11
     assert manifest["counts"]["abbreviation_patterns"] == 1
     assert set(manifest["outputs"]) == {"dataset.conll", "dictionary.tsv"}
-    assert set(manifest["inputs"]) == {"corpus", "results"}
+    assert set(manifest["inputs"]) == {"corpus", "results", "stopwords"}
+    bundled = hashlib.sha256(BUNDLED_STOPWORDS.read_bytes()).hexdigest()
+    assert manifest["inputs"]["stopwords"] == bundled
 
 
 def test_manifest_digests_configured_word_lists(tmp_path):
@@ -198,17 +201,22 @@ def test_selftrain_separate_unlabeled_pool(tmp_path):
 
 
 # sha256 of the artifacts that a change meant to keep behaviour must leave
-# byte-identical. manifest.json is left out: its config_hash covers resolved
-# paths, so it differs between checkouts.
+# byte-identical. The manifests are the same in every checkout: config_hash
+# writes paths relative to the config's folder, and inputs are digested by
+# content.
 PINNED_DIGESTS = {
     ("demo", "dataset.conll"):
         "a272bf0e008190b3b138283aecf323e106a3e37ae96d8ed4ca88a076271ed5be",
     ("demo", "dictionary.tsv"):
         "f2557c1896d8e71e8af9efc202d353f9c3e32d0d43f05d18cdb827916332584d",
+    ("demo", "manifest.json"):
+        "620f37763fad3c7b54d1dadc1cf20f80fcb62ede2979fca935df6a2abff1773c",
     ("synthetic", "dataset.conll"):
         "5a2bd85179649d8b26abfbd0c2915f7fa2b7169af31f5a2d303d209a1cd492dc",
     ("synthetic", "dictionary.tsv"):
         "18dabca19f1af90f9e274c4c959fe4a6a8b642c280ddf606cae85b101931f210",
+    ("synthetic", "manifest.json"):
+        "b4c277ff4d19b529c117b91835783235f0e061a046bad5a58e3e68059c2c546d",
     ("selftrain", "checkpoint.pkl"):
         "28a5f51ae0343a7b392ded814222fc35ea4ec239cc029e73c941fa01ef77f9d3",
     ("selftrain", "checkpoint.pkl.json"):
@@ -217,6 +225,8 @@ PINNED_DIGESTS = {
         "89706dfc2ed2e2733db40f7c62b30ff3c63d2d427c7f32b374e839ca83ce1afd",
     ("selftrain", "report.json"):
         "03f520f02da9d2d60a31f449b625634437581a04d7da030fc9d230367c42beb5",
+    ("selftrain", "manifest.json"):
+        "1c0adaf8901f15fbcafb6daec818f376011f9cdbf6e40bf71d3319df8267b1ec",
 }
 
 

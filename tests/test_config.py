@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from askner.config import (
@@ -10,7 +13,13 @@ from askner.config import (
     preset_types,
 )
 from askner.errors import ConfigError
-from askner.querygen import build_question_set
+from askner.querygen import (
+    LabelDeclaration,
+    QuestionTemplate,
+    TypeDeclaration,
+    build_question_set,
+)
+from askner.selftrain import SelfTrainConfig
 
 
 def _minimal(**extra):
@@ -173,7 +182,7 @@ def test_load_config_yaml(tmp_path):
     )
     cfg = load_config(path)
     assert cfg.seed == 5
-    assert cfg.source_path == path
+    assert cfg.base_dir == path.parent
     assert cfg.corpus_path == tmp_path / "conf" / ".." / "corpus.jsonl"
     assert cfg.corpus_path.resolve() == tmp_path / "corpus.jsonl"
     assert cfg.retrieval.top_n == 7
@@ -204,9 +213,85 @@ def test_config_hash_tracks_content(tmp_path):
     assert len(a.config_hash()) == 64
 
 
-def test_hash_ignores_source_path(tmp_path):
-    import dataclasses
+def test_hash_ignores_base_dir_output_dir_and_config_location(tmp_path, monkeypatch):
+    text = (
+        "seed: 3\n"
+        "corpus: corpus.jsonl\n"
+        "stopwords: lists/stop.txt\n"
+        "retrieval:\n  mode: replay\n  results: ../shared/results.jsonl\n"
+        "types:\n  - name: city\n    k_l: 3\n    labels: [city]\n"
+    )
+    paths = [tmp_path / "a" / "run.yaml", tmp_path / "b" / "deeper" / "run.yaml"]
+    for path in paths:
+        path.parent.mkdir(parents=True)
+        path.write_text(text, encoding="utf-8")
+    moved_out = tmp_path / "c" / "run.yaml"
+    moved_out.parent.mkdir()
+    moved_out.write_text(text + "output_dir: elsewhere/out\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    configs = [load_config(p) for p in paths + [moved_out]]
+    configs.append(load_config(Path("a") / "run.yaml"))  # relative spelling
+    configs.append(load_config(Path("b") / "deeper" / ".." / "deeper" / "run.yaml"))
+    assert len({c.base_dir for c in configs}) == 5
+    assert len({c.output_dir for c in configs}) == 5
+    assert len({c.config_hash() for c in configs}) == 1
 
-    a = parse_config(_minimal(), base_dir=tmp_path)
-    b = dataclasses.replace(a, source_path=tmp_path / "x.yaml")
-    assert a.config_hash() == b.config_hash()
+
+def test_hash_covers_every_other_field(tmp_path):
+    """Replacing any field but base_dir and output_dir, at any depth, gives a
+    new hash: no field is silently left out of it."""
+    selftrain = {"t_begin": 4, "t_update": 2, "max_iterations": 6}
+    cfg = parse_config(_minimal(selftrain=selftrain), base_dir=tmp_path)
+    top = {
+        "seed": 1,
+        "template": QuestionTemplate("list of [TYPE]"),
+        "corpus_path": tmp_path / "other.jsonl",
+        "default_k_l": 5,
+        "default_rules": (2,),
+        "min_length": 4,
+        "stopwords_path": tmp_path / "stop.txt",
+        "quality_phrases_path": tmp_path / "quality.txt",
+    }
+    retrieval = {
+        "mode": "toy",
+        "results_path": tmp_path / "other.jsonl",
+        "endpoint": "http://localhost:9/",
+        "top_n": 5,
+        "timeout": 2.5,
+        "attempts": 1,
+    }
+    schedule = {"t_begin": 5, "t_update": 3, "max_iterations": 7, "seed": 8}
+    type_fields = {"name": "town", "labels": (LabelDeclaration("town"),), "k_l": 9,
+                   "rules": (2, 3)}
+    label_fields = {"label": "village", "k_l": 9, "rules": (2, 3)}
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert names(PipelineConfig) == set(top) | {"types", "retrieval", "selftrain",
+                                                "base_dir", "output_dir"}
+    assert names(RetrievalSettings) == set(retrieval)
+    assert names(SelfTrainConfig) == set(schedule)
+    assert names(TypeDeclaration) == set(type_fields)
+    assert names(LabelDeclaration) == set(label_fields)
+    assert names(QuestionTemplate) == {"pattern"}
+
+    (city,) = cfg.types
+    (label,) = city.labels
+    replace = dataclasses.replace
+    variants = [replace(cfg, **{k: v}) for k, v in top.items()]
+    variants += [replace(cfg, retrieval=replace(cfg.retrieval, **{k: v}))
+                 for k, v in retrieval.items()]
+    variants += [replace(cfg, selftrain=replace(cfg.selftrain, **{k: v}))
+                 for k, v in schedule.items()]
+    variants += [replace(cfg, types=(replace(city, **{k: v}),)) for k, v in type_fields.items()]
+    variants += [replace(cfg, types=(replace(city, labels=(replace(label, **{k: v}),)),))
+                 for k, v in label_fields.items()]
+    variants += [replace(cfg, selftrain=None)]
+    hashes = {v.config_hash() for v in variants}
+    assert cfg.config_hash() not in hashes
+    assert len(hashes) == len(variants)
+
+    schedules = {replace(cfg.selftrain, **{k: v}).config_hash() for k, v in schedule.items()}
+    assert cfg.selftrain.config_hash() not in schedules
+    assert len(schedules) == len(schedule)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from askner.errors import DataError
@@ -94,9 +96,10 @@ def test_entity_f1_hand_fixture():
 
 def test_eval_report_serializes():
     gold, pred = conlleval_fixture()
-    doc = entity_f1(EntitySet.from_sentences(gold), EntitySet.from_sentences(pred)).to_record()
+    doc = asdict(entity_f1(EntitySet.from_sentences(gold), EntitySet.from_sentences(pred)))
     assert doc["f1"] == 0.75
     assert list(doc["per_type"]) == ["LOC", "ORG", "PER"]
+    assert doc["per_type"]["PER"]["gold"] == 5
 
 
 # -- retrieval statistics ---------------------------------------------------
