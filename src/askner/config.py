@@ -128,6 +128,10 @@ class RetrievalSettings:
             raise ConfigError(f"retrieval mode must be one of {RETRIEVAL_MODES}, got {self.mode!r}")
         if self.top_n < 1:
             raise ConfigError(f"retrieval top_n must be >= 1, got {self.top_n}")
+        if not 0 < self.timeout < float("inf"):
+            raise ConfigError(f"retrieval timeout must be positive and finite, got {self.timeout}")
+        if self.attempts < 1:
+            raise ConfigError(f"retrieval attempts must be >= 1, got {self.attempts}")
         if self.mode == "remote" and not self.endpoint:
             raise ConfigError("remote retrieval needs an endpoint")
         if self.mode == "replay" and self.results_path is None:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .annotator import LabeledSentence
 from .errors import DataError
-from .retrieval import RetrievedPhrase
+from .retrieval import RetrievedPhrase, jsonl_records
 
 #: (sentence_id, token_start, token_end, type)
 Entity = tuple[str, int, int, str]
@@ -118,17 +118,8 @@ class RetrievalJudgments:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], source: str = "<judgments>") -> "RetrievalJudgments":
-        import json
-
         judged: dict[tuple[str, int], bool] = {}
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            where = f"{source}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{where}: invalid JSON: {e}") from None
+        for obj, where in jsonl_records(lines, source):
             try:
                 key = (str(obj["question_id"]), int(obj["rank"]))
                 verdict = obj["correct"]

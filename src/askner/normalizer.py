@@ -44,14 +44,19 @@ DEFAULT_MIN_LENGTH = 3
 BUNDLED_STOPWORDS = Path(__file__).parent / "data" / "stopwords.txt"
 
 
+def load_phrase_list(path: str | Path) -> list[str]:
+    """One phrase per line; blank lines and '#' comments ignored."""
+    phrases = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        phrase = line.split("#", 1)[0].strip()
+        if phrase:
+            phrases.append(phrase)
+    return phrases
+
+
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load one stopword per line; ``#`` starts a comment. None = bundled list."""
-    words = set()
-    for line in Path(path or BUNDLED_STOPWORDS).read_text("utf-8").splitlines():
-        word = line.split("#", 1)[0].strip().lower()
-        if word:
-            words.add(word)
-    return frozenset(words)
+    """A phrase list, lowercased. None = the bundled list."""
+    return frozenset(w.lower() for w in load_phrase_list(path or BUNDLED_STOPWORDS))
 
 
 @dataclass(frozen=True)

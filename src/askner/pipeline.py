@@ -1,10 +1,11 @@
 """Stage orchestration for the command-line entry points.
 
 Each command runs its stages in order, logs per-stage record counts, and
-writes every artifact atomically (temp file + rename): an output file is
-either fully written or absent. A manifest with input/output digests, the
-seed, and the config hash accompanies the main outputs; manifests carry no
-timestamps, so identical runs produce byte-identical files.
+commits its outputs as one set: every file is staged first, and only then
+moved into place, the manifest last. The manifest (input/output digests,
+seed, config hash, no timestamps, so identical runs produce byte-identical
+files) exists only if every file it names holds the digest it records; a
+command that fails before its commit leaves the previous run untouched.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import hashlib
 import json
 import logging
 import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -38,7 +41,7 @@ from .metrics import (
     EntitySet,
     precision_at_k,
 )
-from .normalizer import BUNDLED_STOPWORDS, RuleSet, load_stopwords, normalize
+from .normalizer import BUNDLED_STOPWORDS, RuleSet, load_phrase_list, load_stopwords, normalize
 from .perceptron import AveragedPerceptronTagger
 from .querygen import SubQuestion, build_question_set
 from .retrieval import (
@@ -90,36 +93,22 @@ def atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
-class _Artifacts:
-    """Tracks files written by one command so a failure can remove the
-    partial set; earlier commands' files are never touched."""
-
-    def __init__(self):
-        self.written: list[Path] = []
-        self.digests: dict[str, str] = {}
-
-    def write(self, path: Path, data: str | bytes) -> None:
-        atomic_write(path, data)
-        self.written.append(path)
-        blob = data.encode("utf-8") if isinstance(data, str) else data
-        self.digests[path.name] = sha256_bytes(blob)
-
-    def discard(self) -> None:
-        for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-
-def load_phrase_list(path: Path) -> list[str]:
-    """One phrase per line; blank lines and '#' comments ignored."""
-    phrases = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        phrase = line.split("#", 1)[0].strip()
-        if phrase:
-            phrases.append(phrase)
-    return phrases
+def _commit(out_dir: Path, outputs: Mapping[str, str | bytes]) -> None:
+    """Write ``outputs`` ({file name: content}, manifest last) into
+    ``out_dir`` as one set. Every file is staged before any is moved, so a
+    failure while staging leaves the previous run as it was. The old
+    manifest is removed before the first move and the new one moved last,
+    so a manifest never names files that do not match it."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    try:
+        for name, data in outputs.items():
+            atomic_write(staging / name, data)
+        (out_dir / list(outputs)[-1]).unlink(missing_ok=True)
+        for name in outputs:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _require_files(*paths: Path) -> None:
@@ -133,7 +122,7 @@ def _manifest(
     config: PipelineConfig | None,
     seed: int,
     inputs: Mapping[str, Path],
-    artifacts: _Artifacts,
+    outputs: Mapping[str, str | bytes],
     counts: Mapping[str, int],
     extra: Mapping | None = None,
 ) -> dict:
@@ -143,7 +132,10 @@ def _manifest(
         "seed": seed,
         "config_hash": config.config_hash() if config else None,
         "inputs": {name: sha256_file(Path(p)) for name, p in sorted(inputs.items())},
-        "outputs": dict(sorted(artifacts.digests.items())),
+        "outputs": {
+            name: sha256_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+            for name, data in sorted(outputs.items())
+        },
         "counts": dict(sorted(counts.items())),
     }
     if extra:
@@ -179,8 +171,6 @@ def _retrieve_groups(
     top = top_n if top_n is not None else settings.top_n
     groups: dict[str, list[RetrievedPhrase]] = {}
     if mode == "toy":
-        if corpus is None:
-            corpus = load_corpus(config.corpus_path)
         for q in questions:
             groups[q.question_id] = toy_retrieve(
                 q.question_text,
@@ -251,23 +241,19 @@ def cmd_retrieve(
     for qid, phrases in groups.items():
         log.info("retrieve: %s -> %d results", qid, len(phrases))
     target = out or config.retrieval.results_path or (config.output_dir / "results.jsonl")
-    artifacts = _Artifacts()
-    try:
-        artifacts.write(target, serialize_results(groups))
-        inputs = {"corpus": config.corpus_path} if corpus is not None else {}
-        manifest = _manifest(
-            "retrieve",
-            config,
-            config.seed,
-            inputs,
-            artifacts,
-            counts={"questions": len(questions),
-                    "results": sum(len(v) for v in groups.values())},
-        )
-        artifacts.write(target.with_name(target.name + ".manifest.json"), _dump_json(manifest))
-    except BaseException:
-        artifacts.discard()
-        raise
+    outputs = {target.name: serialize_results(groups)}
+    inputs = {"corpus": config.corpus_path} if corpus is not None else {}
+    manifest = _manifest(
+        "retrieve",
+        config,
+        config.seed,
+        inputs,
+        outputs,
+        counts={"questions": len(questions),
+                "results": sum(len(v) for v in groups.values())},
+    )
+    outputs[target.name + ".manifest.json"] = _dump_json(manifest)
+    _commit(target.parent, outputs)
     return target
 
 
@@ -400,27 +386,21 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
         "labeled_sentences": len(labeled),
     }
 
-    artifacts = _Artifacts()
-    dataset_path = out_dir / "dataset.conll"
-    dictionary_path = out_dir / "dictionary.tsv"
-    manifest_path = out_dir / "manifest.json"
-    try:
-        if config.retrieval.mode != "replay":
-            artifacts.write(out_dir / "results.jsonl", serialize_results(groups))
-        artifacts.write(dictionary_path, dump_dictionary(dictionary))
-        artifacts.write(dataset_path, format_conll(labeled))
-        manifest = _manifest(
-            "generate", config, config.seed, inputs, artifacts, counts,
-            extra={"questions_detail": question_rows},
-        )
-        artifacts.write(manifest_path, _dump_json(manifest))
-    except BaseException:
-        artifacts.discard()
-        raise
+    outputs = {}
+    if config.retrieval.mode != "replay":
+        outputs["results.jsonl"] = serialize_results(groups)
+    outputs["dictionary.tsv"] = dump_dictionary(dictionary)
+    outputs["dataset.conll"] = format_conll(labeled)
+    manifest = _manifest(
+        "generate", config, config.seed, inputs, outputs, counts,
+        extra={"questions_detail": question_rows},
+    )
+    outputs["manifest.json"] = _dump_json(manifest)
+    _commit(out_dir, outputs)
     return GenerateResult(
-        dataset_path=dataset_path,
-        dictionary_path=dictionary_path,
-        manifest_path=manifest_path,
+        dataset_path=out_dir / "dataset.conll",
+        dictionary_path=out_dir / "dictionary.tsv",
+        manifest_path=out_dir / "manifest.json",
         counts=counts,
         dictionary=dictionary,
         labeled=labeled,
@@ -495,54 +475,45 @@ def cmd_selftrain(
     log.info("selftrain: best round %d f1=%.4f", result.best_round, result.best.f1)
 
     out_dir = out or (config.output_dir / "selftrain")
-    artifacts = _Artifacts()
-    checkpoint_path = out_dir / "checkpoint.pkl"
-    log_path = out_dir / "training_log.jsonl"
-    report_path = out_dir / "report.json"
-    manifest_path = out_dir / "manifest.json"
-    try:
-        artifacts.write(checkpoint_path, result.best.state)
-        sidecar = {
-            "step": result.best.step,
-            "f1": result.best.f1,
-            "seed": schedule.seed,
-            "config_hash": schedule.config_hash(),
-        }
-        artifacts.write(
-            checkpoint_path.with_suffix(checkpoint_path.suffix + ".json"),
-            _dump_json(sidecar),
-        )
-        artifacts.write(log_path, format_training_log(result.rounds))
-        report = {
-            "teacher": asdict(result.teacher_report),
-            "rounds": [asdict(r) for r in result.rounds],
-            "round_reports": [asdict(r) for r in result.reports],
-            "best_round": result.best_round,
-            "best_f1": result.best.f1,
-        }
-        artifacts.write(report_path, _dump_json(report))
-        manifest = _manifest(
-            "selftrain",
-            config,
-            schedule.seed,
-            inputs,
-            artifacts,
-            counts={
-                "dataset_sentences": len(dataset),
-                "unlabeled_sentences": len(unlabeled),
-                "validation_sentences": len(validation),
-                "rounds": len(result.rounds),
-            },
-        )
-        artifacts.write(manifest_path, _dump_json(manifest))
-    except BaseException:
-        artifacts.discard()
-        raise
+    sidecar = {
+        "step": result.best.step,
+        "f1": result.best.f1,
+        "seed": schedule.seed,
+        "config_hash": schedule.config_hash(),
+    }
+    report = {
+        "teacher": asdict(result.teacher_report),
+        "rounds": [asdict(r) for r in result.rounds],
+        "round_reports": [asdict(r) for r in result.reports],
+        "best_round": result.best_round,
+        "best_f1": result.best.f1,
+    }
+    outputs = {
+        "checkpoint.pkl": result.best.state,
+        "checkpoint.pkl.json": _dump_json(sidecar),
+        "training_log.jsonl": format_training_log(result.rounds),
+        "report.json": _dump_json(report),
+    }
+    manifest = _manifest(
+        "selftrain",
+        config,
+        schedule.seed,
+        inputs,
+        outputs,
+        counts={
+            "dataset_sentences": len(dataset),
+            "unlabeled_sentences": len(unlabeled),
+            "validation_sentences": len(validation),
+            "rounds": len(result.rounds),
+        },
+    )
+    outputs["manifest.json"] = _dump_json(manifest)
+    _commit(out_dir, outputs)
     return SelfTrainOutcome(
-        checkpoint_path=checkpoint_path,
-        log_path=log_path,
-        report_path=report_path,
-        manifest_path=manifest_path,
+        checkpoint_path=out_dir / "checkpoint.pkl",
+        log_path=out_dir / "training_log.jsonl",
+        report_path=out_dir / "report.json",
+        manifest_path=out_dir / "manifest.json",
         best_f1=result.best.f1,
         best_round=result.best_round,
         teacher_f1=result.teacher_report.f1,

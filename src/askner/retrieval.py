@@ -76,18 +76,25 @@ def sentence_from_record(obj: object, where: str = "<corpus>") -> CorpusSentence
     return sent
 
 
+def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[object, str]]:
+    """Yield (decoded record, "<source>:<line number>") for each non-blank
+    line; a line that is not JSON is a DataError naming its location."""
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"{source}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{where}: invalid JSON: {e}") from None
+        yield obj, where
+
+
 def load_corpus(path: str | Path) -> dict[str, CorpusSentence]:
     """Read a JSONL corpus into an ordered {sentence_id: sentence} map."""
     out: dict[str, CorpusSentence] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{where}: invalid JSON: {e}") from None
+        for obj, where in jsonl_records(fh, str(path)):
             sent = sentence_from_record(obj, where)
             if sent.sentence_id in out:
                 raise DataError(f"{where}: duplicate sentence_id {sent.sentence_id!r}")
@@ -171,19 +178,7 @@ def ingest_results(
     evidence-sentence slice; without one, only record-level checks run.
     Scores must be non-increasing with rank within every question.
     """
-
-    def records() -> Iterator[tuple[object, str]]:
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            where = f"{source}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{where}: invalid JSON: {e}") from None
-            yield obj, where
-
-    return _rank_sorted(records(), corpus)
+    return _rank_sorted(jsonl_records(lines, source), corpus)
 
 
 def _rank_sorted(
@@ -352,8 +347,6 @@ def fetch_remote(
     """
     import requests
 
-    if attempts < 1:
-        raise ConfigError(f"attempts must be >= 1, got {attempts}")
     source = f"{endpoint} (question {question_text!r})"
     last_error: Exception | None = None
     for attempt in range(1, attempts + 1):

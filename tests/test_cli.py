@@ -17,6 +17,7 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 import yaml
 
+from askner import pipeline
 from askner.cli import main
 from askner.config import load_config
 from askner.conll import read_conll
@@ -298,6 +299,99 @@ def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         cmd_generate(load_config(DEMO / "config.yaml"), out=out)
     assert list(out.iterdir()) == []
+
+
+# Each command's artifacts in the order it writes them, manifest last.
+RUN_ARTIFACTS = {
+    "generate": ["dictionary.tsv", "dataset.conll", "manifest.json"],
+    "generate-toy": ["results.jsonl", "dictionary.tsv", "dataset.conll", "manifest.json"],
+    "selftrain": [
+        "checkpoint.pkl", "checkpoint.pkl.json", "training_log.jsonl", "report.json",
+        "manifest.json",
+    ],
+    "retrieve": ["results.jsonl", "results.jsonl.manifest.json"],
+}
+
+
+def _two_runs(command: str, tmp_path: Path, out: Path) -> tuple[list[str], list[str]]:
+    """Arguments for two runs of ``command`` into ``out`` that differ in
+    every artifact: another seed, and another stopword list or top_n."""
+    demo = yaml.safe_load((DEMO / "config.yaml").read_text(encoding="utf-8"))
+    demo["corpus"] = str(DEMO / "corpus.jsonl")
+    demo["retrieval"]["results"] = str(DEMO / "results.jsonl")
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("washington\n", encoding="utf-8")
+    toy = dict(demo, retrieval={"mode": "toy", "top_n": 6})
+    other_toy = dict(toy, seed=1, retrieval={"mode": "toy", "top_n": 5})
+    schedule = {"t_begin": 8, "t_update": 4, "max_iterations": 24}
+    configs = {
+        "generate": (demo, dict(demo, seed=1, stopwords=str(stopwords))),
+        "generate-toy": (toy, other_toy),
+        "selftrain": (dict(demo, selftrain=schedule), dict(demo, seed=1, selftrain=schedule)),
+        "retrieve": (toy, other_toy),
+    }[command]
+    runs = []
+    for i, doc in enumerate(configs):
+        config = tmp_path / f"config{i}.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        args = ["-q", command.split("-")[0], "--config", str(config), "--out", str(out)]
+        if command == "selftrain":
+            args += ["--dataset", str(DEMO / "gold.conll"), "--validation", str(DEMO / "gold.conll")]
+        if command == "retrieve":
+            args[-1] = str(out / "results.jsonl")
+        runs.append(args)
+    return runs[0], runs[1]
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+@pytest.mark.parametrize(
+    "command,artifact", [(c, name) for c, names in RUN_ARTIFACTS.items() for name in names]
+)
+def test_failed_rerun_keeps_previous_run(tmp_path, monkeypatch, command, artifact, failing):
+    """A re-run into the previous run's folder that fails while staging an
+    artifact ("fsync") leaves that run byte-identical; one that fails while
+    moving an artifact into place ("replace") may have replaced some files,
+    but leaves no manifest that names a file it does not match."""
+    out = tmp_path / "out"
+    first, second = _two_runs(command, tmp_path, out)
+    assert main(first) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == sorted(RUN_ARTIFACTS[command])
+
+    staged: dict[str, bytes] = {}
+    real_write, real_fsync, real_replace = pipeline.atomic_write, os.fsync, os.replace
+
+    def atomic_write(path, data):
+        staged[Path(path).name] = data.encode("utf-8") if isinstance(data, str) else data
+        real_write(path, data)
+
+    def fsync(fd):
+        if failing == "fsync" and list(staged)[-1] == artifact:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        if failing == "replace" and Path(dst) == out / artifact:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(pipeline, "atomic_write", atomic_write)
+    monkeypatch.setattr("askner.pipeline.os.fsync", fsync)
+    monkeypatch.setattr("askner.pipeline.os.replace", replace)
+    with pytest.raises(OSError):
+        main(second)
+    monkeypatch.undo()
+    # The re-run writes other bytes, so an unchanged file was kept, not rewritten.
+    assert staged and all(staged[name] != before[name] for name in staged)
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    if failing == "fsync":
+        assert after == before
+    else:
+        assert set(after) <= set(before)
+        manifest = RUN_ARTIFACTS[command][-1]
+        if manifest in after:
+            for name, digest in json.loads(after[manifest])["outputs"].items():
+                assert name in after and hashlib.sha256(after[name]).hexdigest() == digest
 
 
 # -- retrieve -----------------------------------------------------------------

@@ -134,6 +134,13 @@ def test_retrieval_validation(tmp_path):
         parse_config(_minimal(retrieval={"mode": "replay"}), base_dir=tmp_path)
     with pytest.raises(ConfigError, match="top_n"):
         RetrievalSettings(mode="toy", top_n=0)
+    # Rejected at load: at fetch time a timeout the HTTP client cannot use
+    # raises from inside its pool as a traceback.
+    for key, value in [("timeout", 0), ("timeout", -1.5), ("timeout", float("nan")),
+                       ("timeout", float("inf")), ("attempts", 0), ("attempts", -1)]:
+        retrieval = {"mode": "remote", "endpoint": "http://localhost:1/", key: value}
+        with pytest.raises(ConfigError, match=key):
+            parse_config(_minimal(retrieval=retrieval), base_dir=tmp_path)
 
 
 def test_boolean_is_not_an_integer(tmp_path):
