@@ -45,6 +45,7 @@ from .normalizer import BUNDLED_STOPWORDS, RuleSet, load_phrase_list, load_stopw
 from .perceptron import AveragedPerceptronTagger
 from .querygen import SubQuestion, build_question_set
 from .retrieval import (
+    Corpus,
     CorpusSentence,
     RetrievedPhrase,
     check_evidence,
@@ -209,10 +210,6 @@ def _retrieve_groups(
         # the responses arrived in.
         for q, future in zip(questions, futures):
             groups[q.question_id] = future.result()
-        if corpus is not None:
-            for qid, phrases in groups.items():
-                for p in phrases:
-                    check_evidence(p, corpus, f"{url} ({qid} rank {p.rank})")
     else:
         raise ConfigError(f"cannot retrieve in mode {mode!r}")
     return groups
@@ -282,21 +279,54 @@ def _match_time_rules(questions: Sequence[SubQuestion]) -> tuple[bool, bool]:
     return on9 == {True}, on10 == {True}
 
 
+def _load_kept(
+    path: Path,
+    keep: set[str],
+    groups: Mapping[str, Sequence[RetrievedPhrase]],
+    source: str,
+) -> Corpus:
+    """Read the corpus once, holding only the sentences in ``keep``, and
+    check every hit in ``groups`` against the sentence it names. A hit on a
+    sentence that is not kept is checked as that sentence is read; the
+    others are checked against the held sentences after the read, in
+    results order, so a hit that names no sentence fails there. Hits are
+    named as "<source> (<question id> rank <rank>)"."""
+    unkept: dict[str, list[RetrievedPhrase]] = {}
+    for phrases in groups.values():
+        for p in phrases:
+            if p.sentence_id not in keep:
+                unkept.setdefault(p.sentence_id, []).append(p)
+
+    def check(p: RetrievedPhrase, sent: CorpusSentence | None) -> None:
+        check_evidence(p, sent, f"{source} ({p.question_id} rank {p.rank})")
+
+    def visit(sent: CorpusSentence) -> None:
+        for p in unkept.pop(sent.sentence_id, ()):
+            check(p, sent)
+
+    corpus = load_corpus(path, keep, visit)
+    for phrases in groups.values():
+        for p in phrases:
+            if p.sentence_id in keep or p.sentence_id in unkept:
+                check(p, corpus.get(p.sentence_id))
+    return corpus
+
+
 def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateResult:
     """Produce the weakly labeled dataset: retrieve (or replay), budget,
-    normalize, build the dictionary, annotate, and write the artifacts."""
+    read the corpus for the kept sentences, normalize, build the
+    dictionary, annotate, and write the artifacts."""
     out_dir = out or config.output_dir
+    mode = config.retrieval.mode
     inputs: dict[str, Path] = {
         "corpus": config.corpus_path,
         "stopwords": config.stopwords_path or BUNDLED_STOPWORDS,
     }
     if config.quality_phrases_path:
         inputs["quality_phrases"] = config.quality_phrases_path
-    if config.retrieval.mode == "replay":
+    if mode == "replay":
         inputs["results"] = config.retrieval.results_path
     _require_files(*inputs.values())
-    corpus = load_corpus(config.corpus_path)
-    log.info("generate: corpus %d sentences", len(corpus))
     questions = build_question_set(
         config.types, config.template, config.default_k_l, config.default_rules
     )
@@ -308,17 +338,20 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
         else []
     )
 
-    if config.retrieval.mode == "replay":
-        groups = read_results(config.retrieval.results_path, corpus)
+    corpus = None
+    if mode == "replay":
+        groups = read_results(config.retrieval.results_path)
     else:
+        if mode == "toy":
+            # toy retrieval ranks every sentence, so all of them are held
+            corpus = load_corpus(config.corpus_path)
         groups = _retrieve_groups(config, questions, corpus)
     results_total = sum(len(v) for v in groups.values())
     log.info("generate: %d retrieval results", results_total)
 
     kept_ids: set[str] = set()
     kept_total = 0
-    normalized = []
-    question_rows = []
+    budgets = []
     for q in questions:
         results = groups.get(q.question_id, [])
         if not results:
@@ -331,6 +364,16 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
             )
         kept_ids.update(budget.kept_sentences)
         kept_total += len(budget.kept_phrases)
+        budgets.append((q, budget))
+
+    if corpus is None:
+        source = config.retrieval.results_path if mode == "replay" else config.retrieval.endpoint
+        corpus = _load_kept(config.corpus_path, kept_ids, groups, str(source))
+    log.info("generate: corpus %d sentences", corpus.total)
+
+    normalized = []
+    question_rows = []
+    for q, budget in budgets:
         ruleset = RuleSet.from_ids(q.enabled_rules(), stopwords, config.min_length)
         for phrase in budget.kept_phrases:
             normalized.extend(
@@ -374,7 +417,7 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
     log.info("generate: %d matches over %d labeled sentences", len(assigned), len(labeled))
 
     counts = {
-        "corpus_sentences": len(corpus),
+        "corpus_sentences": corpus.total,
         "questions": len(questions),
         "results": results_total,
         "kept_sentences": len(kept_ids),
@@ -387,7 +430,7 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
     }
 
     outputs = {}
-    if config.retrieval.mode != "replay":
+    if mode != "replay":
         outputs["results.jsonl"] = serialize_results(groups)
     outputs["dictionary.tsv"] = dump_dictionary(dictionary)
     outputs["dataset.conll"] = format_conll(labeled)

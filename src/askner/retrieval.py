@@ -13,14 +13,14 @@ import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, DataError, FetchError
 
 RESULT_FIELDS = ("question_id", "rank", "phrase", "score", "sentence_id", "char_start", "char_end")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusSentence:
     """One pre-tokenized sentence; ``candidates`` are optional phrase spans
     used by the stand-in retriever."""
@@ -90,19 +90,45 @@ def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[object, s
         yield obj, where
 
 
-def load_corpus(path: str | Path) -> dict[str, CorpusSentence]:
-    """Read a JSONL corpus into an ordered {sentence_id: sentence} map."""
-    out: dict[str, CorpusSentence] = {}
+class Corpus(dict):
+    """An ordered {sentence_id: sentence} map of the sentences held, with
+    ``total``: how many sentences the file holds, held or not."""
+
+    total: int = 0
+
+
+def load_corpus(
+    path: str | Path,
+    keep: Container[str] | None = None,
+    visit: Callable[[CorpusSentence], None] | None = None,
+) -> Corpus:
+    """Read a JSONL corpus into an ordered {sentence_id: sentence} map.
+
+    Every line is decoded and checked, and ids must be unique across the
+    file, whether or not the sentence is held. With ``keep``, only the
+    sentences whose ids it contains are held; the others leave just their
+    id behind, for the duplicate check. ``visit``, if given, sees every
+    sentence as it is read.
+    """
+    out = Corpus()
+    unkept: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for obj, where in jsonl_records(fh, str(path)):
             sent = sentence_from_record(obj, where)
-            if sent.sentence_id in out:
-                raise DataError(f"{where}: duplicate sentence_id {sent.sentence_id!r}")
-            out[sent.sentence_id] = sent
+            sid = sent.sentence_id
+            if sid in out or sid in unkept:
+                raise DataError(f"{where}: duplicate sentence_id {sid!r}")
+            if visit is not None:
+                visit(sent)
+            if keep is None or sid in keep:
+                out[sid] = sent
+            else:
+                unkept.add(sid)
+    out.total = len(out) + len(unkept)
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievedPhrase:
     """One ranked retrieval hit: a phrase span inside an evidence sentence."""
 
@@ -149,12 +175,10 @@ def _phrase_from_record(obj: object, where: str) -> RetrievedPhrase:
     return p
 
 
-def check_evidence(
-    p: RetrievedPhrase, corpus: Mapping[str, CorpusSentence], where: str
-) -> None:
-    """Raise DataError unless ``p``'s sentence id resolves in ``corpus`` and
-    its phrase equals the in-bounds slice of that sentence."""
-    sent = corpus.get(p.sentence_id)
+def check_evidence(p: RetrievedPhrase, sent: CorpusSentence | None, where: str) -> None:
+    """Raise DataError unless ``sent``, the sentence ``p`` names (None if no
+    sentence has its id), exists and ``p``'s phrase equals its in-bounds
+    slice."""
     if sent is None:
         raise DataError(f"{where}: unknown sentence_id {p.sentence_id!r}")
     if not 0 <= p.char_start < p.char_end <= len(sent.text):
@@ -195,7 +219,7 @@ def _rank_sorted(
             obj = dict(obj, question_id=question_id)
         p = _phrase_from_record(obj, where)
         if corpus is not None:
-            check_evidence(p, corpus, where)
+            check_evidence(p, corpus.get(p.sentence_id), where)
         per_q = groups.setdefault(p.question_id, {})
         if p.rank in per_q:
             raise DataError(

@@ -7,8 +7,10 @@ import errno
 import hashlib
 import json
 import os
+import shutil
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -706,3 +708,82 @@ def test_remote_hits_are_checked_against_corpus(
     assert rc == 2
     assert message in caplog.text
     assert _artifacts(out) == []
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("sentence_id", "demo-99", "unknown sentence_id 'demo-99'"),
+        ("phrase", "Crohn's colitis", "phrase \"Crohn's colitis\" != sentence slice"),
+    ],
+)
+@pytest.mark.parametrize("k_l", [10, 1], ids=["kept", "not-kept"])
+def test_replayed_hits_are_checked_against_corpus(tmp_path, caplog, field, value, message, k_l):
+    # with k_l 1 the budget keeps only rank 1's sentence, so rank 2 names one it does not keep
+    lines = (DEMO / "results.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [(r["question_id"], r["rank"]) for r in records[:2]] == [
+        ("disease:disease", 1), ("disease:disease", 2)
+    ]
+    assert records[0]["sentence_id"] != records[1]["sentence_id"]
+    rank = 1 if k_l == 10 else 2
+    records[rank - 1][field] = value
+    results = tmp_path / "results.jsonl"
+    results.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    doc = yaml.safe_load((DEMO / "config.yaml").read_text(encoding="utf-8"))
+    doc["corpus"] = str(DEMO / "corpus.jsonl")
+    doc["retrieval"] = {"mode": "replay", "results": str(results)}
+    assert doc["types"][0]["name"] == "disease"
+    doc["types"][0]["k_l"] = k_l
+    config = tmp_path / "replay.yaml"
+    config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["-q", "generate", "--config", str(config), "--out", str(out)])
+    assert rc == 2
+    assert f"{results} (disease:disease rank {rank}): " in caplog.text
+    assert message in caplog.text
+    assert _artifacts(out) == []
+
+
+# -- generate holds only the sentences it keeps -------------------------------
+
+
+def _synthetic_with_unnamed(folder: Path, extra: int) -> Path:
+    """The synthetic inputs in ``folder``, the corpus grown by ``extra``
+    copies of its sentences under ids that no hit names; returns the config."""
+    folder.mkdir()
+    lines = (SYNTH / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    originals = len(lines)
+    for i in range(extra):
+        record = json.loads(lines[i % originals])
+        record["sentence_id"] = f"unnamed-{i}"
+        lines.append(json.dumps(record))
+    (folder / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for name in ("config.yaml", "results.jsonl"):
+        shutil.copy(SYNTH / name, folder / name)
+    return folder / "config.yaml"
+
+
+def _traced_peak(config_path: Path) -> tuple[int, dict]:
+    config = load_config(config_path)
+    tracemalloc.start()
+    try:
+        result = cmd_generate(config, config_path.parent / "out")
+        return tracemalloc.get_traced_memory()[1], result.counts
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_memory_does_not_grow_with_unnamed_sentences(tmp_path):
+    extra = 2000  # 10x the synthetic corpus
+    base = _synthetic_with_unnamed(tmp_path / "base", 0)
+    grown = _synthetic_with_unnamed(tmp_path / "grown", extra)
+    cmd_generate(load_config(base), tmp_path / "warm-up")
+    base_peak, base_counts = _traced_peak(base)
+    grown_peak, grown_counts = _traced_peak(grown)
+    assert grown_counts["corpus_sentences"] == base_counts["corpus_sentences"] + extra
+    assert dict(grown_counts, corpus_sentences=0) == dict(base_counts, corpus_sentences=0)
+    for name in ("dataset.conll", "dictionary.tsv"):
+        assert (grown.parent / "out" / name).read_bytes() == (base.parent / "out" / name).read_bytes()
+    # every sentence held would cost about 1.4 KB; an id seen costs under 0.1 KB
+    assert (grown_peak - base_peak) / extra < 200

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -55,6 +56,43 @@ def test_load_corpus_bad_json_names_line(tmp_path):
     path.write_text(json.dumps(_record()) + "\n{broken\n", encoding="utf-8")
     with pytest.raises(DataError, match=":2"):
         load_corpus(path)
+
+
+def test_load_corpus_holds_only_kept_sentences_in_corpus_order(tmp_path):
+    path = _write_corpus(tmp_path, [_record(f"s{i}") for i in range(5)])
+    visited = []
+    corpus = load_corpus(path, {"s3", "s1", "absent"}, visited.append)
+    assert list(corpus) == ["s1", "s3"]
+    assert corpus.total == 5
+    assert [s.sentence_id for s in visited] == ["s0", "s1", "s2", "s3", "s4"]
+
+
+def test_load_corpus_without_keep_holds_every_sentence(tmp_path):
+    path = _write_corpus(tmp_path, [_record("s2"), _record("s1", "Oslo froze", [[0, 4]])])
+    corpus = load_corpus(path, None)
+    assert corpus == load_corpus(path) == {
+        "s2": sentence_from_record(_record("s2")),
+        "s1": sentence_from_record(_record("s1", "Oslo froze", [[0, 4]])),
+    }
+    assert list(corpus) == ["s2", "s1"]
+    assert corpus.total == 2
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (json.dumps(_record("s1")), "duplicate sentence_id 's1'"),
+        ("{broken", "invalid JSON"),
+        (json.dumps(dict(_record("s3"), tokens=[["Leprosy", 0]])), "malformed tokens"),
+        (json.dumps(dict(_record("s3"), tokens=[["Lepra", 0, 7]])), "!= text slice"),
+    ],
+)
+def test_load_corpus_checks_lines_it_does_not_keep(tmp_path, line, message):
+    path = tmp_path / "corpus.jsonl"
+    lines = [json.dumps(_record("s1")), json.dumps(_record("s2")), line]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(message)):
+        load_corpus(path, {"s2"})
 
 
 def test_sentence_validation_catches_span_lies():
