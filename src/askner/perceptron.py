@@ -10,12 +10,15 @@ by feature; ``predict`` compiles the averaged weights once per call into
 per-word score tuples. The compile pays for itself only over a batch: run on
 every update's single sentence it made training about 30% slower. Both break
 ties toward the earliest tag in ``tags``, which lists "O" first.
+
+``snapshot`` writes the whole state as one canonical JSON table, which is
+also the checkpoint file ``selftrain`` writes; ``restore`` reads it back.
 """
 
 from __future__ import annotations
 
+import json
 import math
-import pickle
 import random
 from itertools import chain
 from typing import Sequence
@@ -235,24 +238,24 @@ class AveragedPerceptronTagger:
     # -- state ------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """Canonical byte serialization: equal states give equal bytes."""
-        state = {
-            "tags": list(self.tags),
-            "weights": [
-                (feat, sorted(row.items()))
-                for feat, row in sorted(self.weights.items())
-                if row
-            ],
-            "totals": sorted(self._totals.items()),
-            "stamps": sorted(self._stamps.items()),
-            "ticks": self._ticks,
-        }
-        return pickle.dumps(state, protocol=4)
+        """Canonical JSON, so equal states give equal bytes: ``{"tags",
+        "ticks", "params"}``, with one ``[feat, tag, weight, total, stamp]``
+        row per parameter, sorted by (feat, tag). ``_bump`` writes the three
+        maps under the same keys, so one table holds them all."""
+        params = [
+            [feat, tag, w, self._totals[feat, tag], self._stamps[feat, tag]]
+            for feat, row in sorted(self.weights.items())
+            for tag, w in sorted(row.items())
+        ]
+        state = {"tags": self.tags, "ticks": self._ticks, "params": params}
+        return json.dumps(state, separators=(",", ":")).encode("ascii")
 
     def restore(self, state: bytes) -> None:
-        obj = pickle.loads(state)
-        self.tags = list(obj["tags"])
-        self.weights = {feat: dict(row) for feat, row in obj["weights"]}
-        self._totals = dict(obj["totals"])
-        self._stamps = dict(obj["stamps"])
+        obj = json.loads(state)
+        self.tags = obj["tags"]
         self._ticks = obj["ticks"]
+        self.weights, self._totals, self._stamps = {}, {}, {}
+        for feat, tag, w, total, stamp in obj["params"]:
+            self.weights.setdefault(feat, {})[tag] = w
+            self._totals[feat, tag] = total
+            self._stamps[feat, tag] = stamp

@@ -16,7 +16,7 @@ import logging
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -163,37 +163,29 @@ def _retrieve_groups(
     config: PipelineConfig,
     questions: Sequence[SubQuestion],
     corpus: Mapping[str, CorpusSentence] | None,
-    mode: str | None = None,
-    endpoint: str | None = None,
-    top_n: int | None = None,
 ) -> dict[str, list[RetrievedPhrase]]:
     settings = config.retrieval
-    mode = mode or settings.mode
-    top = top_n if top_n is not None else settings.top_n
     groups: dict[str, list[RetrievedPhrase]] = {}
-    if mode == "toy":
+    if settings.mode == "toy":
         for q in questions:
             groups[q.question_id] = toy_retrieve(
                 q.question_text,
                 corpus,
-                top,
+                settings.top_n,
                 question_id=q.question_id,
                 content_text=q.type_label,
             )
-    elif mode == "remote":
+    elif settings.mode == "remote":
         from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-        url = endpoint if endpoint is not None else settings.endpoint
-        if not url:
-            raise ConfigError("remote retrieval needs an endpoint")
         pool = ThreadPoolExecutor(max_workers=min(len(questions), _available_cpus()))
         try:
             futures = [
                 pool.submit(
                     fetch_remote,
                     q.question_text,
-                    url,
-                    top,
+                    settings.endpoint,
+                    settings.top_n,
                     question_id=q.question_id,
                     timeout=settings.timeout,
                     attempts=settings.attempts,
@@ -211,7 +203,7 @@ def _retrieve_groups(
         for q, future in zip(questions, futures):
             groups[q.question_id] = future.result()
     else:
-        raise ConfigError(f"cannot retrieve in mode {mode!r}")
+        raise ConfigError(f"cannot retrieve in mode {settings.mode!r}")
     return groups
 
 
@@ -221,11 +213,18 @@ def cmd_retrieve(
     top_n: int | None = None,
     out: Path | None = None,
 ) -> Path:
-    """Run retrieval for every sub-question and write a replay results file."""
+    """Run retrieval for every sub-question and write a replay results file.
+    ``endpoint`` (which selects remote mode) and ``top_n`` replace the
+    config's settings, so they are checked like them and the manifest's
+    config hash covers them."""
+    flags = {"top_n": top_n} if top_n is not None else {}
+    if endpoint is not None:
+        flags.update(mode="remote", endpoint=endpoint)
+    config = replace(config, retrieval=replace(config.retrieval, **flags))
     questions = build_question_set(
         config.types, config.template, config.default_k_l, config.default_rules
     )
-    mode = "remote" if endpoint else config.retrieval.mode
+    mode = config.retrieval.mode
     if mode == "replay":
         raise ConfigError(
             "retrieval mode is 'replay'; nothing to fetch (use --endpoint or mode toy/remote)"
@@ -234,7 +233,7 @@ def cmd_retrieve(
     if mode == "toy":
         _require_files(config.corpus_path)
         corpus = load_corpus(config.corpus_path)
-    groups = _retrieve_groups(config, questions, corpus, mode=mode, endpoint=endpoint, top_n=top_n)
+    groups = _retrieve_groups(config, questions, corpus)
     for qid, phrases in groups.items():
         log.info("retrieve: %s -> %d results", qid, len(phrases))
     target = out or config.retrieval.results_path or (config.output_dir / "results.jsonl")
@@ -518,12 +517,6 @@ def cmd_selftrain(
     log.info("selftrain: best round %d f1=%.4f", result.best_round, result.best.f1)
 
     out_dir = out or (config.output_dir / "selftrain")
-    sidecar = {
-        "step": result.best.step,
-        "f1": result.best.f1,
-        "seed": schedule.seed,
-        "config_hash": schedule.config_hash(),
-    }
     report = {
         "teacher": asdict(result.teacher_report),
         "rounds": [asdict(r) for r in result.rounds],
@@ -532,8 +525,7 @@ def cmd_selftrain(
         "best_f1": result.best.f1,
     }
     outputs = {
-        "checkpoint.pkl": result.best.state,
-        "checkpoint.pkl.json": _dump_json(sidecar),
+        "checkpoint.json": result.best.state,
         "training_log.jsonl": format_training_log(result.rounds),
         "report.json": _dump_json(report),
     }
@@ -553,7 +545,7 @@ def cmd_selftrain(
     outputs["manifest.json"] = _dump_json(manifest)
     _commit(out_dir, outputs)
     return SelfTrainOutcome(
-        checkpoint_path=out_dir / "checkpoint.pkl",
+        checkpoint_path=out_dir / "checkpoint.json",
         log_path=out_dir / "training_log.jsonl",
         report_path=out_dir / "report.json",
         manifest_path=out_dir / "manifest.json",

@@ -10,7 +10,6 @@ the checkpoint with the best validation F1 (earliest on ties) wins.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -78,10 +77,6 @@ class SelfTrainConfig:
         if max_iterations is None:
             max_iterations = DEFAULT_ROUNDS * t_update
         return cls(t_begin=t_begin, t_update=t_update, max_iterations=max_iterations, seed=seed)
-
-    def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,14 @@ import pytest
 import yaml
 
 from askner import pipeline
+from askner.annotator import LabeledSentence
 from askner.cli import main
 from askner.config import load_config
 from askner.conll import read_conll
 from askner.errors import DataError, FetchError, InternalInvariantError
+from askner.metrics import EntitySet, entity_f1
 from askner.normalizer import BUNDLED_STOPWORDS
+from askner.perceptron import AveragedPerceptronTagger
 from askner.pipeline import cmd_generate
 from askner.querygen import build_question_set
 from askner.retrieval import fetch_remote, read_results, serialize_results
@@ -174,12 +177,28 @@ def test_selftrain_end_to_end(tmp_path, capsys):
         "--out", str(st),
     ])
     assert rc == 0
-    assert (st / "checkpoint.pkl").is_file()
-    sidecar = json.loads((st / "checkpoint.pkl.json").read_text())
-    assert sidecar["seed"] == 7
+    assert sorted(p.name for p in st.iterdir()) == [
+        "checkpoint.json", "manifest.json", "report.json", "training_log.jsonl",
+    ]
+    assert json.loads((st / "manifest.json").read_text())["seed"] == 7
     report = json.loads((st / "report.json").read_text())
     assert len(report["rounds"]) == 12
     assert report["best_f1"] == max(r["validation_f1"] for r in report["rounds"])
+    best = report["rounds"][report["best_round"] - 1]
+    assert (best["round"], best["student_steps"]) == (11, 1100)
+    checkpoint = (st / "checkpoint.json").read_bytes()
+    assert json.loads(checkpoint)["ticks"] == best["teacher_steps"] + best["student_steps"]
+
+    # The checkpoint alone reproduces the reported score.
+    tagger = AveragedPerceptronTagger()
+    tagger.restore(checkpoint)
+    validation = read_conll(SYNTH / "validation.conll")
+    predicted = [
+        LabeledSentence(s.sentence_id, s.tokens, tuple(tags))
+        for s, tags in zip(validation, tagger.predict([s.tokens for s in validation]))
+    ]
+    scored = entity_f1(EntitySet.from_sentences(validation), EntitySet.from_sentences(predicted))
+    assert scored.f1 == report["best_f1"]
     log_lines = (st / "training_log.jsonl").read_text().splitlines()
     assert [json.loads(l)["round"] for l in log_lines] == list(range(1, 13))
     stdout = capsys.readouterr().out
@@ -220,16 +239,14 @@ PINNED_DIGESTS = {
         "18dabca19f1af90f9e274c4c959fe4a6a8b642c280ddf606cae85b101931f210",
     ("synthetic", "manifest.json"):
         "b4c277ff4d19b529c117b91835783235f0e061a046bad5a58e3e68059c2c546d",
-    ("selftrain", "checkpoint.pkl"):
-        "28a5f51ae0343a7b392ded814222fc35ea4ec239cc029e73c941fa01ef77f9d3",
-    ("selftrain", "checkpoint.pkl.json"):
-        "4684866c8015fbb005b04b327c268b42046b8213dc124f66e537b3bafeb4c788",
+    ("selftrain", "checkpoint.json"):
+        "a6597bfa749422524b4da2a6463a2112d072a66171e8144321f03f27b6ff052d",
     ("selftrain", "training_log.jsonl"):
         "89706dfc2ed2e2733db40f7c62b30ff3c63d2d427c7f32b374e839ca83ce1afd",
     ("selftrain", "report.json"):
         "03f520f02da9d2d60a31f449b625634437581a04d7da030fc9d230367c42beb5",
     ("selftrain", "manifest.json"):
-        "1c0adaf8901f15fbcafb6daec818f376011f9cdbf6e40bf71d3319df8267b1ec",
+        "5f27139408f227d104d422cbbc579ad97c651e2ccd16e42c3be0f337ef703894",
 }
 
 
@@ -307,10 +324,7 @@ def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch):
 RUN_ARTIFACTS = {
     "generate": ["dictionary.tsv", "dataset.conll", "manifest.json"],
     "generate-toy": ["results.jsonl", "dictionary.tsv", "dataset.conll", "manifest.json"],
-    "selftrain": [
-        "checkpoint.pkl", "checkpoint.pkl.json", "training_log.jsonl", "report.json",
-        "manifest.json",
-    ],
+    "selftrain": ["checkpoint.json", "training_log.jsonl", "report.json", "manifest.json"],
     "retrieve": ["results.jsonl", "results.jsonl.manifest.json"],
 }
 
@@ -434,6 +448,25 @@ def test_retrieve_toy_mode(tmp_path, capsys):
 def test_retrieve_in_replay_mode_is_config_error():
     rc = main(["-q", "retrieve", "--config", str(DEMO / "config.yaml")])
     assert rc == 1
+
+
+def test_retrieve_flags_are_checked_and_hashed_like_the_config(tmp_path):
+    config = _toy_config(tmp_path)
+    hashes = set()
+    for top_n in (5, 6):
+        target = tmp_path / str(top_n) / "results.jsonl"
+        rc = main(["-q", "retrieve", "--config", str(config), "--top-n", str(top_n),
+                   "--out", str(target)])
+        assert rc == 0
+        assert len(read_results(target)["city:city"]) == top_n
+        manifest = target.with_name("results.jsonl.manifest.json")
+        hashes.add(json.loads(manifest.read_text())["config_hash"])
+    assert len(hashes) == 2
+
+    target = tmp_path / "0" / "results.jsonl"
+    rc = main(["-q", "retrieve", "--config", str(config), "--top-n", "0", "--out", str(target)])
+    assert rc == 1
+    assert not target.parent.exists()
 
 
 # -- remote retrieval against a local HTTP server -----------------------------

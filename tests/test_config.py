@@ -298,7 +298,3 @@ def test_hash_covers_every_other_field(tmp_path):
     hashes = {v.config_hash() for v in variants}
     assert cfg.config_hash() not in hashes
     assert len(hashes) == len(variants)
-
-    schedules = {replace(cfg.selftrain, **{k: v}).config_hash() for k, v in schedule.items()}
-    assert cfg.selftrain.config_hash() not in schedules
-    assert len(schedules) == len(schedule)

@@ -1,3 +1,4 @@
+import json
 import random
 
 from askner.metrics import extract_entities
@@ -80,6 +81,29 @@ def test_snapshot_restore_roundtrip():
     assert b.snapshot() == blob
     probe = [["Oslo", "met", "Anna"], ["New", "York"]]
     assert b.predict(probe) == a.predict(probe)
+
+
+def test_equal_states_give_equal_bytes():
+    a = AveragedPerceptronTagger()
+    a.train(_dataset(), steps=20, seed=5)
+    blob = a.snapshot()
+    b = AveragedPerceptronTagger()
+    b.restore(blob)
+    # Rebuild each map from its own JSON text, so the maps share no string
+    # objects, as they do after training.
+    def rebuilt(pairs):
+        rows = json.loads(json.dumps([[*key, v] for key, v in pairs.items()]))
+        return {(f, t): v for f, t, v in rows}
+
+    b.weights = json.loads(json.dumps(b.weights))
+    b._totals, b._stamps = rebuilt(b._totals), rebuilt(b._stamps)
+    assert b.snapshot() == blob
+
+    empty = AveragedPerceptronTagger().snapshot()
+    c = AveragedPerceptronTagger()
+    c.restore(empty)
+    assert c.snapshot() == empty
+    assert c.predict([["Oslo", "froze"]]) == [["O", "O"]]
 
 
 def test_training_is_cumulative_after_restore():
