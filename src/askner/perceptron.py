@@ -11,6 +11,10 @@ per-word score tuples. The compile pays for itself only over a batch: run on
 every update's single sentence it made training about 30% slower. Both break
 ties toward the earliest tag in ``tags``, which lists "O" first.
 
+``train`` updates on the sentences ``selftrain.visit_order`` lists and reads
+no other entry of its dataset, so the self-training loop pseudo-labels only
+those and passes ``None`` for the rest.
+
 ``snapshot`` writes the whole state as one canonical JSON table, which is
 also the checkpoint file ``selftrain`` writes; ``restore`` reads it back.
 """
@@ -19,11 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from itertools import chain
 from typing import Sequence
 
 from .annotator import LabeledSentence
+from .selftrain import visit_order
 
 START = "<s>"
 END = "</s>"
@@ -76,31 +80,27 @@ class AveragedPerceptronTagger:
 
     # -- training ---------------------------------------------------------
 
-    def train(self, dataset: Sequence[LabeledSentence], steps: int, seed: int) -> None:
+    def train(
+        self, dataset: Sequence[LabeledSentence | None], steps: int, seed: int
+    ) -> None:
         """Run ``steps`` single-sentence perceptron updates.
 
-        Sentences are visited in a seeded shuffled order, reshuffled each
-        pass; training is cumulative, so restoring a snapshot and training
-        further continues from that state.
+        Sentences are visited in ``visit_order``: a seeded shuffle,
+        reshuffled each pass. Only those entries are read, and any other may
+        be ``None``. Training is cumulative, so restoring a snapshot and
+        training further continues from that state.
         """
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        if not dataset and steps > 0:
-            raise ValueError("cannot train on an empty dataset")
+        order = visit_order(len(dataset), steps, seed)
         self._register_tags(dataset)
-        rng = random.Random(seed)
-        order: list[int] = []
-        for _ in range(steps):
-            if not order:
-                order = rng.sample(range(len(dataset)), len(dataset))
-            sent = dataset[order.pop(0)]
+        for i in order:
             self._ticks += 1
-            self._update(sent)
+            self._update(dataset[i])
 
-    def _register_tags(self, dataset: Sequence[LabeledSentence]) -> None:
+    def _register_tags(self, dataset: Sequence[LabeledSentence | None]) -> None:
         seen = set(self.tags)
         for sent in dataset:
-            seen.update(sent.tags)
+            if sent is not None:
+                seen.update(sent.tags)
         self.tags = sorted(seen, key=lambda t: (t != "O", t))
 
     def _update(self, sent: LabeledSentence) -> None:

@@ -6,12 +6,18 @@ sentences, a student initialized from the teacher trains ``t_update`` steps
 on those pseudo-labels, is evaluated on held-out validation, and replaces
 the teacher. This repeats until ``max_iterations`` student steps have run;
 the checkpoint with the best validation F1 (earliest on ties) wins.
+
+A student reads only the sentences its seeded walk (``visit_order``) visits,
+so the teacher labels only those, in one ``predict`` batch: a round costs
+about ``t_update`` decodes, not the pool's size. Each label is the one a
+full relabel would give it, so every output is the same.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Protocol, Sequence
 
@@ -37,12 +43,40 @@ SCHEDULE_PRESETS: dict[str, tuple[int, int]] = {
 DEFAULT_ROUNDS = 6
 
 
+def visit_order(n: int, steps: int, seed: int) -> list[int]:
+    """The dataset indices ``train`` updates on, in order: ``steps`` of them
+    over ``n`` sentences. Each pass is one ``random.Random(seed).sample`` of
+    ``range(n)``, reshuffled per pass; the last pass is cut at ``steps``.
+
+    Raises ``ValueError`` for negative ``steps``, or for ``steps > 0`` on an
+    empty dataset, which has nothing to visit.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not n and steps > 0:
+        raise ValueError("cannot train on an empty dataset")
+    rng = random.Random(seed)
+    order: list[int] = []
+    while len(order) < steps:
+        order += rng.sample(range(n), n)
+    del order[steps:]
+    return order
+
+
 class TaggerInterface(Protocol):
     """What the loop needs from a tagger. ``predict`` takes token sequences
     and returns aligned, BIO-well-formed tag sequences; ``snapshot`` and
-    ``restore`` must round-trip exactly (equal states, equal bytes)."""
+    ``restore`` must round-trip exactly (equal states, equal bytes).
 
-    def train(self, dataset: Sequence[LabeledSentence], steps: int, seed: int) -> None: ...
+    ``train(dataset, steps, seed)`` reads ``dataset[i]`` only for the
+    indices ``visit_order(len(dataset), steps, seed)`` lists. An entry it
+    will not visit may be ``None``: the loop relabels only the visited
+    sentences and passes ``None`` in every other place.
+    """
+
+    def train(
+        self, dataset: Sequence[LabeledSentence | None], steps: int, seed: int
+    ) -> None: ...
 
     def predict(self, sentences: Sequence[Sequence[str]]) -> list[list[str]]: ...
 
@@ -138,9 +172,12 @@ def run_self_training(
     """Run the teacher-student schedule and return the best round's checkpoint.
 
     ``unlabeled`` is the token side of the sentences being relabeled each
-    round — normally the generated dataset's own tokens. The best checkpoint
-    is chosen by validation F1 with earlier rounds winning ties; only it is
-    kept, so memory does not grow with the number of rounds.
+    round — normally the generated dataset's own tokens. Each round the
+    teacher relabels only the distinct sentences the student's
+    ``visit_order`` walk visits; the others stay ``None`` in the student's
+    dataset. The best checkpoint is chosen by validation F1 with earlier
+    rounds winning ties; only it is kept, so memory does not grow with the
+    number of rounds.
     """
     if not generated:
         raise ConfigError("generated dataset is empty")
@@ -163,18 +200,20 @@ def run_self_training(
     best_round = 0
     done = 0
     round_no = 0
+    # The teacher's state; after each round it is the verified student state.
+    state = teacher.snapshot()
     while done < config.max_iterations:
         round_no += 1
         steps = min(config.t_update, config.max_iterations - done)
-        pseudo_tags = teacher.predict(unlabeled)
-        pseudo = [
-            LabeledSentence(f"u{idx:06d}", tuple(words), tuple(tags))
-            for idx, (words, tags) in enumerate(zip(unlabeled, pseudo_tags), 1)
-        ]
+        seed = config.seed + round_no
+        picked = dict.fromkeys(visit_order(len(unlabeled), steps, seed))
+        pseudo: list[LabeledSentence | None] = [None] * len(unlabeled)
+        for idx, tags in zip(picked, teacher.predict([unlabeled[i] for i in picked])):
+            pseudo[idx] = LabeledSentence(f"u{idx + 1:06d}", tuple(unlabeled[idx]), tuple(tags))
         student = tagger_factory()
-        student.restore(teacher.snapshot())
+        student.restore(state)
         try:
-            student.train(pseudo, steps, config.seed + round_no)
+            student.train(pseudo, steps, seed)
         except Exception as e:
             e.args = (f"student training failed in round {round_no}: {e}",)
             raise

@@ -1,13 +1,21 @@
 import pickle
+import random
+import threading
 
 import pytest
 
 from askner.errors import ConfigError
+from askner.perceptron import AveragedPerceptronTagger
 from askner.selftrain import (
     SCHEDULE_PRESETS,
+    Checkpoint,
+    RoundRecord,
     SelfTrainConfig,
+    SelfTrainResult,
+    _evaluate,
     expected_rounds,
     run_self_training,
+    visit_order,
 )
 from testutil import labeled
 
@@ -137,3 +145,192 @@ def test_preset_defaults_to_six_rounds():
     assert expected_rounds(override) == 2
     with pytest.raises(ConfigError, match="preset"):
         SelfTrainConfig.from_preset("nope")
+
+
+# -- visit order -------------------------------------------------------------
+
+
+def _inline_walk(n, steps, seed):
+    """The walk ``AveragedPerceptronTagger.train`` made inline before
+    ``visit_order`` existed, kept as the reference."""
+    rng = random.Random(seed)
+    order, out = [], []
+    for _ in range(steps):
+        if not order:
+            order = rng.sample(range(n), n)
+        out.append(order.pop(0))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, steps", [(7, 0), (7, 3), (7, 7), (7, 8), (7, 14), (7, 23), (3, 31), (1, 0), (1, 1), (1, 6)]
+)
+def test_visit_order_matches_the_inline_walk(n, steps):
+    for seed in (0, 1, 17, 12345):
+        assert visit_order(n, steps, seed) == _inline_walk(n, steps, seed)
+
+
+def test_visit_order_rejects_empty_data_without_looping():
+    assert visit_order(0, 0, 1) == []
+    raised = []
+
+    def call():
+        try:
+            visit_order(0, 5, 1)
+        except ValueError as e:
+            raised.append(e)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert raised and "empty" in str(raised[0])
+    with pytest.raises(ValueError, match="empty"):
+        AveragedPerceptronTagger().train([], 1, 0)
+
+
+def test_visit_order_rejects_negative_steps():
+    with pytest.raises(ValueError, match="steps"):
+        visit_order(4, -1, 0)
+    with pytest.raises(ValueError, match="steps"):
+        AveragedPerceptronTagger().train([labeled("s", ["a"], ["O"])], -1, 0)
+
+
+# -- relabeling only the visited sentences -----------------------------------
+
+_ENTITIES = {
+    "CITY": ["Oslo", "Lima", "New York", "Kormid"],
+    "ORG": ["Acme Corp", "Initech", "Velgrad Bank"],
+}
+_FILLER = "the mayor of visited praised near rain markets rose fell in".split()
+
+
+def _sentences(rng, count, prefix):
+    out = []
+    for k in range(count):
+        tokens, tags = [], []
+        for _ in range(rng.randint(2, 6)):
+            if rng.random() < 0.35:
+                etype = rng.choice(sorted(_ENTITIES))
+                words = rng.choice(_ENTITIES[etype]).split()
+                tokens += words
+                tags += [f"B-{etype}"] + [f"I-{etype}"] * (len(words) - 1)
+            else:
+                tokens.append(rng.choice(_FILLER))
+                tags.append("O")
+        out.append(labeled(f"{prefix}{k}", tokens, tags))
+    return out
+
+
+def _case(name, seed):
+    """(generated, unlabeled, validation, config) for one pool shape."""
+    rng = random.Random(seed)
+    generated = _sentences(rng, 30, "g")
+    validation = _sentences(rng, 12, "v")
+    unlabeled = [s.tokens for s in generated]
+    t_update = 8
+    if name == "t_update above the pool":
+        generated = generated[:5]
+        unlabeled = unlabeled[:5]
+        t_update = 12
+    elif name == "duplicate sentences":
+        unlabeled = unlabeled[:10] * 3
+        rng.shuffle(unlabeled)
+        t_update = 15
+    elif name == "separate pool":
+        unlabeled = [s.tokens for s in _sentences(rng, 25, "p")] + [("Zurich", "rose")]
+    config = SelfTrainConfig(t_begin=20, t_update=t_update, max_iterations=30, seed=seed)
+    return generated, unlabeled, validation, config
+
+
+def _relabel_everything(generated, unlabeled, validation, config):
+    """Reference loop: the teacher relabels the whole pool every round and
+    each student starts from a fresh teacher snapshot."""
+    teacher = AveragedPerceptronTagger()
+    teacher.train(generated, config.t_begin, config.seed)
+    teacher_report = _evaluate(teacher, validation)
+    rounds, reports = [], []
+    best, best_round, done, round_no = None, 0, 0, 0
+    while done < config.max_iterations:
+        round_no += 1
+        steps = min(config.t_update, config.max_iterations - done)
+        pseudo = [
+            labeled(f"u{idx:06d}", words, tags)
+            for idx, (words, tags) in enumerate(zip(unlabeled, teacher.predict(unlabeled)), 1)
+        ]
+        student = AveragedPerceptronTagger()
+        student.restore(teacher.snapshot())
+        student.train(pseudo, steps, config.seed + round_no)
+        done += steps
+        report = _evaluate(student, validation)
+        state = student.snapshot()
+        if best is None or report.f1 > best.f1:
+            best, best_round = Checkpoint(state=state, step=done, f1=report.f1), round_no
+        rounds.append(RoundRecord(round_no, config.t_begin, done, report.f1))
+        reports.append(report)
+        teacher.restore(state)
+    return SelfTrainResult(best, best_round, rounds, teacher_report, reports)
+
+
+POOL_SHAPES = [
+    "pool is the dataset", "t_update above the pool", "duplicate sentences", "separate pool"
+]
+
+
+@pytest.mark.parametrize("name", POOL_SHAPES)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_relabeling_visited_sentences_equals_relabeling_all(name, seed):
+    generated, unlabeled, validation, config = _case(name, seed)
+    result = run_self_training(
+        generated, unlabeled, validation, AveragedPerceptronTagger, config
+    )
+    reference = _relabel_everything(generated, unlabeled, validation, config)
+    assert result.best == reference.best
+    assert result.best_round == reference.best_round
+    assert result.rounds == reference.rounds
+    assert result.teacher_report == reference.teacher_report
+    assert result.reports == reference.reports
+
+
+class _CountingTagger(AveragedPerceptronTagger):
+    """Records every predict batch and, per train call, which entries of
+    the dataset are filled in."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def predict(self, sentences):
+        self.log.append(("predict", [tuple(w) for w in sentences]))
+        return super().predict(sentences)
+
+    def train(self, dataset, steps, seed):
+        filled = {i: s.sentence_id for i, s in enumerate(dataset) if s is not None}
+        self.log.append(("train", filled))
+        super().train(dataset, steps, seed)
+
+
+@pytest.mark.parametrize("name", POOL_SHAPES)
+def test_each_round_relabels_exactly_the_visited_sentences(name):
+    generated, unlabeled, validation, config = _case(name, 5)
+    log = []
+    run_self_training(
+        generated, unlabeled, validation, lambda: _CountingTagger(log), config
+    )
+    val_tokens = [s.tokens for s in validation]
+    warmup, teacher_eval, *rest = log
+    assert warmup == ("train", {i: s.sentence_id for i, s in enumerate(generated)})
+    assert teacher_eval == ("predict", val_tokens)
+    rounds = [rest[i:i + 3] for i in range(0, len(rest), 3)]
+    assert len(rounds) == expected_rounds(config)
+    done = 0
+    for round_no, (relabel, train, evaluation) in enumerate(rounds, 1):
+        steps = min(config.t_update, config.max_iterations - done)
+        done += steps
+        walk = _inline_walk(len(unlabeled), steps, config.seed + round_no)
+        visited = list(dict.fromkeys(walk))
+        assert relabel == ("predict", [tuple(unlabeled[i]) for i in visited])
+        if steps < len(unlabeled):
+            assert len(relabel[1]) < len(unlabeled)
+        assert train == ("train", {i: f"u{i + 1:06d}" for i in sorted(visited)})
+        assert evaluation == ("predict", val_tokens)
