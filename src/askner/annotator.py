@@ -19,13 +19,8 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import DataError, InternalInvariantError
-from .normalizer import NormalizedPhrase, RuleSet
+from .normalizer import NormalizedPhrase, RuleSet, surface_key
 from .retrieval import CorpusSentence
-
-
-def surface_key(surface: str) -> str:
-    """Dictionary key: lowercase, internal whitespace collapsed to single spaces."""
-    return " ".join(surface.split()).lower()
 
 
 @dataclass

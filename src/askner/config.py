@@ -21,7 +21,7 @@ from typing import Any, Mapping
 import yaml
 
 from .errors import ConfigError
-from .normalizer import DEFAULT_MIN_LENGTH
+from .normalizer import DEFAULT_MIN_LENGTH, rule_ids
 from .querygen import DEFAULT_TEMPLATE, LabelDeclaration, QuestionTemplate, TypeDeclaration
 from .selftrain import SelfTrainConfig
 
@@ -191,10 +191,7 @@ def _parse_rules(value: Any, where: str) -> tuple[int, ...] | None:
         isinstance(r, int) and not isinstance(r, bool) for r in value
     ):
         raise ConfigError(f"{where}: rules must be a list of integers")
-    bad = set(value) - set(range(1, 11))
-    if bad:
-        raise ConfigError(f"{where}: unknown rule ids {sorted(bad)}")
-    return tuple(sorted(set(value)))
+    return tuple(sorted(rule_ids(value, where)))
 
 
 def _parse_label(obj: Any, where: str) -> LabelDeclaration:

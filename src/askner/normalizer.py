@@ -21,6 +21,9 @@ Rules, in the fixed order they run:
    evidence sentence
 
 A disabled rule is skipped; enabled rules always run in ascending order.
+``rule_ids`` is the one place that knows which rule ids exist: the config,
+the question set and ``RuleSet`` all validate through it. ``surface_key`` is
+the dictionary key rule 7 compares by and the annotator pools phrases under.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConfigError
 
@@ -42,6 +45,20 @@ DEFAULT_MIN_LENGTH = 3
 
 #: The stopword list rule 6 uses when a config names none.
 BUNDLED_STOPWORDS = Path(__file__).parent / "data" / "stopwords.txt"
+
+
+def rule_ids(ids: Iterable[int], where: str) -> frozenset[int]:
+    """``ids`` as a set; ConfigError naming ``where`` and the ids outside 1-10."""
+    ids = frozenset(ids)
+    bad = sorted(r for r in ids if r not in range(1, 11))
+    if bad:
+        raise ConfigError(f"{where}: unknown rule ids {bad}")
+    return ids
+
+
+def surface_key(surface: str) -> str:
+    """Dictionary key: lowercase, internal whitespace collapsed to single spaces."""
+    return " ".join(surface.split()).lower()
 
 
 def load_phrase_list(path: str | Path) -> list[str]:
@@ -61,16 +78,14 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Which rules are enabled, plus the knobs rules 5 and 6 read."""
+    """The ids of the enabled rules, plus the knobs rules 5 and 6 read."""
 
-    enabled: Mapping[int, bool]
+    enabled: frozenset[int]
     stopwords: frozenset[str] = frozenset()
     min_length: int = DEFAULT_MIN_LENGTH
 
     def __post_init__(self):
-        bad = set(self.enabled) - set(range(1, 11))
-        if bad:
-            raise ConfigError(f"unknown normalization rule ids: {sorted(bad)}")
+        rule_ids(self.enabled, "rule set")
         if self.min_length < 1:
             raise ConfigError(f"min_length must be >= 1, got {self.min_length}")
 
@@ -81,11 +96,10 @@ class RuleSet:
         stopwords: frozenset[str] = frozenset(),
         min_length: int = DEFAULT_MIN_LENGTH,
     ) -> RuleSet:
-        ids = set(ids)
-        return cls({r: r in ids for r in range(1, 11)}, stopwords, min_length)
+        return cls(frozenset(ids), stopwords, min_length)
 
     def is_enabled(self, rule_id: int) -> bool:
-        return bool(self.enabled.get(rule_id, False))
+        return rule_id in self.enabled
 
 
 @dataclass(frozen=True)
@@ -155,12 +169,8 @@ def _rule_stopword(fragment: str, rules: RuleSet, type_label: str) -> list[str]:
     return [] if fragment.lower() in rules.stopwords else [fragment]
 
 
-def _collapse(text: str) -> str:
-    return " ".join(text.split())
-
-
 def _rule_drop_type_echo(fragment: str, rules: RuleSet, type_label: str) -> list[str]:
-    if _collapse(fragment).lower() == _collapse(type_label).lower():
+    if surface_key(fragment) == surface_key(type_label):
         return []
     return [fragment]
 
@@ -214,9 +224,7 @@ def normalize(
     """
     label = output_type if output_type is not None else type_label
     fragments = [phrase.surface.strip()] if phrase.surface.strip() else []
-    for rule_id in range(1, 8):
-        if not rules.is_enabled(rule_id):
-            continue
+    for rule_id in sorted(_RULE_FUNCS.keys() & rules.enabled):
         fragments = [
             out
             for frag in fragments
@@ -237,10 +245,10 @@ def detect_abbreviation(long_form: str, sentence_text: str) -> str | None:
     """Find a parenthesized short form of ``long_form`` in ``sentence_text``.
 
     The candidate must sit in parentheses immediately after an occurrence of
-    the long form, be 2..min(long-form tokens + 5, 2x its own length)
-    characters, span at most two tokens, contain a letter, and its characters
-    must match right-to-left into the long form with the first character
-    landing at a word start. Returns None when nothing qualifies.
+    the long form, be 2 to (long-form tokens + 5) characters, span at most
+    two tokens, contain a letter, and its characters must match
+    right-to-left into the long form with the first character landing at a
+    word start. Returns None when nothing qualifies.
     """
     lf_tokens = long_form.split()
     if not lf_tokens:
@@ -263,7 +271,7 @@ def detect_abbreviation(long_form: str, sentence_text: str) -> str | None:
 
 def _valid_short_form(candidate: str, lf_tokens: list[str]) -> bool:
     n = len(candidate)
-    if not 2 <= n <= min(len(lf_tokens) + 5, 2 * n):
+    if not 2 <= n <= len(lf_tokens) + 5:
         return False
     if len(candidate.split()) > 2:
         return False

@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 from . import __version__
 from .annotator import (
     LabeledSentence,
-    PseudoDictionary,
     assign_types,
     build_dictionary,
     dump_dictionary,
@@ -41,7 +40,14 @@ from .metrics import (
     EntitySet,
     precision_at_k,
 )
-from .normalizer import BUNDLED_STOPWORDS, RuleSet, load_phrase_list, load_stopwords, normalize
+from .normalizer import (
+    BUNDLED_STOPWORDS,
+    MATCH_TIME_RULES,
+    RuleSet,
+    load_phrase_list,
+    load_stopwords,
+    normalize,
+)
 from .perceptron import AveragedPerceptronTagger
 from .querygen import SubQuestion, build_question_set
 from .retrieval import (
@@ -262,20 +268,17 @@ class GenerateResult:
     dictionary_path: Path
     manifest_path: Path
     counts: dict[str, int]
-    dictionary: PseudoDictionary
     labeled: list[LabeledSentence]
 
 
-def _match_time_rules(questions: Sequence[SubQuestion]) -> tuple[bool, bool]:
+def _match_time_rules(questions: Sequence[SubQuestion]) -> frozenset[int]:
     """Rules 9/10 apply to the pooled dictionary, so they are enabled only
     when every sub-question asks for them; disagreements are logged."""
-    on9 = {q.rule_toggles[9] for q in questions}
-    on10 = {q.rule_toggles[10] for q in questions}
-    if len(on9) > 1:
-        log.warning("sub-questions disagree on rule 9; leaving it off")
-    if len(on10) > 1:
-        log.warning("sub-questions disagree on rule 10; leaving it off")
-    return on9 == {True}, on10 == {True}
+    on = MATCH_TIME_RULES.intersection(*(q.rules for q in questions))
+    asked = MATCH_TIME_RULES & {r for q in questions for r in q.rules}
+    for rule_id in sorted(asked - on):
+        log.warning("sub-questions disagree on rule %d; leaving it off", rule_id)
+    return on
 
 
 def _load_kept(
@@ -373,7 +376,7 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
     normalized = []
     question_rows = []
     for q, budget in budgets:
-        ruleset = RuleSet.from_ids(q.enabled_rules(), stopwords, config.min_length)
+        ruleset = RuleSet.from_ids(q.rules, stopwords, config.min_length)
         for phrase in budget.kept_phrases:
             normalized.extend(
                 normalize(
@@ -402,10 +405,7 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
              len(dictionary.entries), len(dictionary.abbreviations))
 
     sentences = [s for sid, s in corpus.items() if sid in kept_ids]
-    rule9, rule10 = _match_time_rules(questions)
-    match_rules = RuleSet.from_ids(
-        [r for r, on in ((9, rule9), (10, rule10)) if on], stopwords, config.min_length
-    )
+    match_rules = RuleSet.from_ids(_match_time_rules(questions), stopwords, config.min_length)
     if dictionary.entries:
         spans = match_sentences(dictionary, sentences, match_rules)
     else:
@@ -444,7 +444,6 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
         dictionary_path=out_dir / "dictionary.tsv",
         manifest_path=out_dir / "manifest.json",
         counts=counts,
-        dictionary=dictionary,
         labeled=labeled,
     )
 

@@ -9,9 +9,10 @@ list of questions that drives retrieval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
+from .normalizer import rule_ids
 
 PLACEHOLDER = "[TYPE]"
 
@@ -83,10 +84,11 @@ class TypeDeclaration:
 
 @dataclass(frozen=True)
 class SubQuestion:
-    """A fully resolved question: text, sentence budget, and rule toggles.
+    """A fully resolved question: text, sentence budget, and enabled rules.
 
     ``question_id`` is ``"<output_type>:<label>"`` and is the join key used in
-    results files. ``rule_toggles`` materializes all ten normalization rules.
+    results files. ``rules`` holds the ids of the normalization rules this
+    sub-question enables, checked by ``normalizer.rule_ids``.
     """
 
     question_id: str
@@ -94,18 +96,7 @@ class SubQuestion:
     output_type: str
     question_text: str
     k_l: int
-    rule_toggles: dict[int, bool] = field(hash=False)
-
-    def enabled_rules(self) -> tuple[int, ...]:
-        return tuple(r for r in sorted(self.rule_toggles) if self.rule_toggles[r])
-
-
-def _toggles(rule_ids) -> dict[int, bool]:
-    ids = set(rule_ids)
-    bad = ids - set(range(1, 11))
-    if bad:
-        raise ConfigError(f"unknown normalization rule ids: {sorted(bad)}")
-    return {r: r in ids for r in range(1, 11)}
+    rules: frozenset[int]
 
 
 def build_question_set(
@@ -147,7 +138,7 @@ def build_question_set(
                     output_type=decl.name,
                     question_text=formulate(lab.label, template),
                     k_l=k_l,
-                    rule_toggles=_toggles(rules),
+                    rules=rule_ids(rules, qid),
                 )
             )
     return questions

@@ -158,15 +158,18 @@ def _phrase_from_record(obj: object, where: str) -> RetrievedPhrase:
     missing = [f for f in RESULT_FIELDS if f not in obj]
     if missing:
         raise DataError(f"{where}: missing fields {missing}")
+    for f in ("rank", "char_start", "char_end"):
+        if isinstance(obj[f], bool) or not isinstance(obj[f], int):
+            raise DataError(f"{where}: {f} must be an integer, got {obj[f]!r}")
     try:
         p = RetrievedPhrase(
             question_id=str(obj["question_id"]),
-            rank=int(obj["rank"]),
+            rank=obj["rank"],
             surface=str(obj["phrase"]),
             score=float(obj["score"]),
             sentence_id=str(obj["sentence_id"]),
-            char_start=int(obj["char_start"]),
-            char_end=int(obj["char_end"]),
+            char_start=obj["char_start"],
+            char_end=obj["char_end"],
         )
     except (TypeError, ValueError) as e:
         raise DataError(f"{where}: malformed result record: {e}") from None

@@ -7,6 +7,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import shutil
 import threading
 import time
@@ -820,3 +821,82 @@ def test_generate_memory_does_not_grow_with_unnamed_sentences(tmp_path):
         assert (grown.parent / "out" / name).read_bytes() == (base.parent / "out" / name).read_bytes()
     # every sentence held would cost about 1.4 KB; an id seen costs under 0.1 KB
     assert (grown_peak - base_peak) / extra < 200
+
+
+# -- generate: match-time rules 9 and 10 --------------------------------------
+
+# sentence id -> (text, the phrase its hit names, the sub-question label);
+# "today" and "cheered" have no capital, so rule 3 drops them, but their
+# sentences are kept and matched
+MATCH_TIME_HITS = {
+    "m1": ("Paris is a city .", "Paris", "city"),
+    "m2": ("Lyon is a town .", "Lyon", "town"),
+    "m3": ("we flew to paris today .", "today", "town"),
+    "m4": ("Fans of Paris Saint Germain cheered .", "cheered", "city"),
+}
+
+
+def _match_time_generate(tmp_path: Path, rule: int, city_rules, town_rules) -> dict:
+    """generate over MATCH_TIME_HITS with one output type whose two
+    sub-questions enable the given rules; returns sentence id -> tags."""
+    corpus, results = [], []
+    for sid, (text, surface, label) in MATCH_TIME_HITS.items():
+        tokens = [[m.group(), m.start(), m.end()] for m in re.finditer(r"\S+", text)]
+        corpus.append({"sentence_id": sid, "text": text, "tokens": tokens})
+        start = text.index(surface)
+        rank = 1 + sum(r["question_id"] == f"city:{label}" for r in results)
+        results.append({
+            "question_id": f"city:{label}", "rank": rank, "phrase": surface,
+            "score": 10.0 - rank, "sentence_id": sid,
+            "char_start": start, "char_end": start + len(surface),
+        })
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in corpus), encoding="utf-8"
+    )
+    (tmp_path / "results.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in results), encoding="utf-8"
+    )
+    (tmp_path / "quality.txt").write_text("Paris Saint Germain\n", encoding="utf-8")
+    doc = {
+        "corpus": "corpus.jsonl",
+        "retrieval": {"mode": "replay", "results": "results.jsonl"},
+        "types": [{"name": "city", "k_l": 10, "labels": [
+            {"label": "city", "rules": list(city_rules)},
+            {"label": "town", "rules": list(town_rules)},
+        ]}],
+    }
+    if rule == 10:
+        doc["quality_phrases"] = "quality.txt"
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["-q", "generate", "--config", str(config), "--out", str(out)]) == 0
+    sids = {text: sid for sid, (text, _, _) in MATCH_TIME_HITS.items()}
+    return {sids[" ".join(s.tokens)]: s.tags for s in read_conll(out / "dataset.conll")}
+
+
+@pytest.mark.parametrize("town_on", [True, False], ids=["all-on", "one-off"])
+def test_rule_9_runs_only_when_every_sub_question_enables_it(tmp_path, caplog, town_on):
+    tags = _match_time_generate(tmp_path, 9, [3, 9], [3, 9] if town_on else [3])
+    warning = "sub-questions disagree on rule 9; leaving it off"
+    assert tags["m1"] == ("B-city", "O", "O", "O", "O")
+    if town_on:
+        # the lowercase single-token "paris" is rejected
+        assert tags["m3"] == ("O",) * 6
+        assert warning not in caplog.text
+    else:
+        assert tags["m3"] == ("O", "O", "O", "B-city", "O", "O")
+        assert warning in caplog.text
+
+
+@pytest.mark.parametrize("town_on", [True, False], ids=["all-on", "one-off"])
+def test_rule_10_runs_only_when_every_sub_question_enables_it(tmp_path, caplog, town_on):
+    tags = _match_time_generate(tmp_path, 10, [3, 10], [3, 10] if town_on else [3])
+    warning = "sub-questions disagree on rule 10; leaving it off"
+    if town_on:
+        # "Paris" grows to the quality phrase that contains it
+        assert tags["m4"] == ("O", "O", "B-city", "I-city", "I-city", "O", "O")
+        assert warning not in caplog.text
+    else:
+        assert tags["m4"] == ("O", "O", "B-city", "O", "O", "O", "O")
+        assert warning in caplog.text

@@ -53,7 +53,7 @@ def test_preset_expansion_conll2003(tmp_path):
     assert {q.output_type for q in questions} == {"person", "location", "organization"}
     for q in questions:
         assert q.k_l == 5000
-        assert q.enabled_rules() == (1, 2, 3, 4, 5, 6, 7, 8, 10)
+        assert q.rules == frozenset({1, 2, 3, 4, 5, 6, 7, 8, 10})
     assert questions[0].question_id == "person:athlete"
     assert questions[0].question_text == "Which athlete?"
 
@@ -113,7 +113,7 @@ def test_defaults_flow_through(tmp_path):
         default_rules=cfg.default_rules,
     )
     assert q.k_l == 77
-    assert q.enabled_rules() == (2, 5)
+    assert q.rules == frozenset({2, 5})
 
 
 def test_bad_rule_ids(tmp_path):

@@ -85,14 +85,9 @@ def test_overrides_resolve_nearest_first():
     assert qs["location:city"].k_l == 50
     assert qs["location:country"].k_l == 1000
     # same for rules, as whole-value replacement
-    assert qs["person:athlete"].enabled_rules() == (2, 5)
-    assert qs["location:city"].enabled_rules() == (3,)
-    assert qs["location:country"].enabled_rules() == (1, 3, 4)
-
-
-def test_rule_toggles_cover_all_ten():
-    qs = build_question_set(_decl(), QuestionTemplate.preset("which"), default_k_l=10)
-    assert set(qs[0].rule_toggles) == set(range(1, 11))
+    assert qs["person:athlete"].rules == frozenset({2, 5})
+    assert qs["location:city"].rules == frozenset({3})
+    assert qs["location:country"].rules == frozenset({1, 3, 4})
 
 
 def test_duplicate_question_id_rejected():
@@ -113,5 +108,5 @@ def test_missing_budget_rejected():
 
 def test_unknown_rule_ids_rejected():
     types = [TypeDeclaration(name="x", labels=(LabelDeclaration("y", rules=(0, 11)),), k_l=5)]
-    with pytest.raises(ConfigError, match="rule"):
+    with pytest.raises(ConfigError, match=r"^x:y: unknown rule ids \[0, 11\]$"):
         build_question_set(types, QuestionTemplate.preset("which"))

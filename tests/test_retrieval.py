@@ -1,13 +1,16 @@
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from askner.errors import ConfigError, DataError
 from askner.retrieval import (
     collect_training_sentences,
+    fetch_remote,
     ingest_results,
     load_corpus,
+    read_results,
     sentence_from_record,
     serialize_results,
     toy_retrieve,
@@ -169,6 +172,27 @@ def test_ingest_rejects_missing_fields_and_bad_rank():
         ingest_results(_lines(phrase(rank=0)))
     with pytest.raises(DataError, match="JSON"):
         ingest_results(["{oops"])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rank", 1.9), ("rank", True), ("rank", "1"),
+     ("char_start", True), ("char_start", 0.0), ("char_end", "5")],
+)
+@pytest.mark.parametrize("source", ["replay", "remote"])
+def test_result_rank_and_offsets_must_be_integers(tmp_path, monkeypatch, source, field, value):
+    records = [phrase(rank=1).to_record(), dict(phrase(rank=2).to_record(), **{field: value})]
+    message = f"{field} must be an integer, got {value!r}"
+    if source == "replay":
+        path = tmp_path / "results.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: {message}")):
+            read_results(path)
+    else:
+        reply = SimpleNamespace(status_code=200, json=lambda: records)
+        monkeypatch.setattr("requests.get", lambda *args, **kwargs: reply)
+        with pytest.raises(DataError, match=re.escape(f"record 1: {message}")):
+            fetch_remote("Which city?", "http://localhost:9", 2, question_id="t:q", attempts=1)
 
 
 def test_serialize_ingest_roundtrip():
