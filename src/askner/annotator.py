@@ -15,7 +15,7 @@ largest-remainder apportionment over the retrieval counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DataError, InternalInvariantError
@@ -87,7 +87,7 @@ def dump_dictionary(dictionary: PseudoDictionary) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchSpan:
     """A dictionary hit over tokens [token_start, token_end) of a sentence."""
 
@@ -119,7 +119,7 @@ class _WordTrie:
                 node = node.setdefault(word, {})
             node[self._LEAF] = pattern
 
-    def scan(self, token_words: Sequence[list[str]]) -> list[tuple[int, int, str]]:
+    def scan(self, token_words: Sequence[Sequence[str]]) -> list[tuple[int, int, str]]:
         """All token windows whose flattened words spell a pattern.
 
         A window [start, end) matches when walking every word of every token
@@ -163,9 +163,16 @@ def match_sentences(
     trie = _WordTrie(pattern_to_key)
     quality_trie = _WordTrie(dictionary.quality_phrases) if dictionary.quality_phrases else None
 
+    # token text -> its lowercased words, split once per distinct text
+    token_words: dict[str, tuple[str, ...]] = {}
     out: list[MatchSpan] = []
     for sentence in sentences:
-        words = [t.lower().split() for t in sentence.surfaces()]
+        words = []
+        for surface, _, _ in sentence.tokens:
+            split = token_words.get(surface)
+            if split is None:
+                split = token_words[surface] = tuple(surface.lower().split())
+            words.append(split)
         raw = trie.scan(words)
         if rules.is_enabled(9):
             raw = [
@@ -204,7 +211,7 @@ def _grow_span(span: MatchSpan, qp_spans: list[tuple[int, int, str]]) -> MatchSp
     if not containing:
         return span
     _, s, e = min(containing)
-    return replace(span, token_start=s, token_end=e)
+    return MatchSpan(span.sentence_id, s, e, span.phrase_key)
 
 
 def apportion_types(entry: DictEntry, occurrences: Sequence[MatchSpan]) -> list[MatchSpan]:
@@ -239,7 +246,8 @@ def apportion_types(entry: DictEntry, occurrences: Sequence[MatchSpan]) -> list[
     i = 0
     for t in dealing:
         for _ in range(alloc[t]):
-            out.append(replace(ordered[i], assigned_type=t))
+            o = ordered[i]
+            out.append(MatchSpan(o.sentence_id, o.token_start, o.token_end, o.phrase_key, t))
             i += 1
     if i != n:
         raise InternalInvariantError(f"apportionment assigned {i} of {n} occurrences")
@@ -258,7 +266,10 @@ def assign_types(dictionary: PseudoDictionary, spans: Sequence[MatchSpan]) -> li
             raise InternalInvariantError(f"match references unknown dictionary key {key!r}")
         if len(entry.counts) == 1:
             only = next(iter(entry.counts))
-            out.extend(replace(o, assigned_type=only) for o in occs)
+            out.extend(
+                MatchSpan(o.sentence_id, o.token_start, o.token_end, o.phrase_key, only)
+                for o in occs
+            )
         else:
             out.extend(apportion_types(entry, occs))
     return out

@@ -6,7 +6,10 @@ pipeline (rules 1-8) cleans them into dictionary candidates; two further
 rules (9-10) apply at dictionary-matching time and live in the annotator.
 Rules 1-7 rewrite a fragment on its own and can be run one at a time with
 ``apply_rule``; rule 8 reads the evidence sentence, so only ``normalize``
-applies it.
+applies it. Rules 1-7 read nothing but the phrase, the ``RuleSet`` and the
+type label, so a ``RuleSet`` runs them once per distinct (phrase, label) and
+keeps the fragments; in a ``generate`` run that is once per distinct phrase
+per sub-question. Rule 8 runs for every occurrence.
 
 Rules, in the fixed order they run:
 
@@ -29,7 +32,7 @@ the dictionary key rule 7 compares by and the annotator pools phrases under.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -78,11 +81,20 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """The ids of the enabled rules, plus the knobs rules 5 and 6 read."""
+    """The ids of the enabled rules, plus the knobs rules 5 and 6 read.
+
+    It also keeps what rules 1-7 made of each (surface, type label) it has
+    seen (see ``fragments``). That memo grows with the distinct phrases and
+    lives as long as the rule set: ``generate`` builds one per sub-question
+    per run.
+    """
 
     enabled: frozenset[int]
     stopwords: frozenset[str] = frozenset()
     min_length: int = DEFAULT_MIN_LENGTH
+    _fragments: dict[tuple[str, str], tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         rule_ids(self.enabled, "rule set")
@@ -100,6 +112,22 @@ class RuleSet:
 
     def is_enabled(self, rule_id: int) -> bool:
         return rule_id in self.enabled
+
+    def fragments(self, surface: str, type_label: str) -> tuple[str, ...]:
+        """What the enabled rules 1-7 leave of ``surface``, in rule 1's split
+        order; computed on the first call for each (surface, type label)."""
+        key = (surface, type_label)
+        out = self._fragments.get(key)
+        if out is None:
+            frags = [surface.strip()] if surface.strip() else []
+            for rule_id in sorted(_RULE_FUNCS.keys() & self.enabled):
+                frags = [
+                    f
+                    for frag in frags
+                    for f in apply_rule(rule_id, frag, rules=self, type_label=type_label)
+                ]
+            out = self._fragments[key] = tuple(frags)
+        return out
 
 
 @dataclass(frozen=True)
@@ -221,19 +249,16 @@ def normalize(
     ``type_label`` is what rule 7 compares against (the sub-question label);
     ``output_type`` is the tag recorded on the results, defaulting to the
     label itself. Order within the output follows rule 1's split order.
+    Rules 1-7 come from ``rules.fragments``, so they run once per distinct
+    (surface, type label) per rule set; rule 8 reads ``evidence`` on every
+    call.
     """
     label = output_type if output_type is not None else type_label
-    fragments = [phrase.surface.strip()] if phrase.surface.strip() else []
-    for rule_id in sorted(_RULE_FUNCS.keys() & rules.enabled):
-        fragments = [
-            out
-            for frag in fragments
-            for out in apply_rule(rule_id, frag, rules=rules, type_label=type_label)
-        ]
+    rule_8 = rules.is_enabled(8)
     results = []
-    for frag in fragments:
+    for frag in rules.fragments(phrase.surface, type_label):
         abbrev = None
-        if rules.is_enabled(8) and frag in evidence.text:
+        if rule_8 and frag in evidence.text:
             abbrev = detect_abbreviation(frag, evidence.text)
         results.append(
             NormalizedPhrase(surface=frag, origin=phrase, type_label=label, abbreviation=abbrev)

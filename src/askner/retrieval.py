@@ -10,6 +10,7 @@ and demos, and the HTTP client for a real backend.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -158,24 +159,38 @@ def _phrase_from_record(obj: object, where: str) -> RetrievedPhrase:
     missing = [f for f in RESULT_FIELDS if f not in obj]
     if missing:
         raise DataError(f"{where}: missing fields {missing}")
+    for f in ("question_id", "phrase", "sentence_id"):
+        if not isinstance(obj[f], str):
+            raise DataError(f"{where}: {f} must be a string, got {obj[f]!r}")
     for f in ("rank", "char_start", "char_end"):
         if isinstance(obj[f], bool) or not isinstance(obj[f], int):
             raise DataError(f"{where}: {f} must be an integer, got {obj[f]!r}")
-    try:
-        p = RetrievedPhrase(
-            question_id=str(obj["question_id"]),
-            rank=obj["rank"],
-            surface=str(obj["phrase"]),
-            score=float(obj["score"]),
-            sentence_id=str(obj["sentence_id"]),
-            char_start=obj["char_start"],
-            char_end=obj["char_end"],
-        )
-    except (TypeError, ValueError) as e:
-        raise DataError(f"{where}: malformed result record: {e}") from None
+    score = obj["score"]
+    if not _is_finite_number(score):
+        raise DataError(f"{where}: score must be a finite number, got {score!r}")
+    p = RetrievedPhrase(
+        question_id=obj["question_id"],
+        rank=obj["rank"],
+        surface=obj["phrase"],
+        score=float(score),
+        sentence_id=obj["sentence_id"],
+        char_start=obj["char_start"],
+        char_end=obj["char_end"],
+    )
     if p.rank < 1:
         raise DataError(f"{where}: rank must be >= 1, got {p.rank}")
     return p
+
+
+def _is_finite_number(value: object) -> bool:
+    """True for a JSON number other than NaN and the infinities; a bool is
+    not a number here, and an integer too large for a float is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_evidence(p: RetrievedPhrase, sent: CorpusSentence | None, where: str) -> None:

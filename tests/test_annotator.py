@@ -14,6 +14,8 @@ from askner.annotator import (
 )
 from askner.errors import InternalInvariantError
 from askner.normalizer import NormalizedPhrase, RuleSet
+from askner.retrieval import CorpusSentence
+from test_acceptance import _brute_force_resolve, _brute_force_windows
 from testutil import phrase, sent
 
 NO_MATCH_RULES = RuleSet.from_ids([])
@@ -95,6 +97,28 @@ def test_match_is_case_insensitive_and_token_bounded():
     assert [(s.token_start, s.token_end, s.phrase_key) for s in spans] == [(2, 4, "new york")]
     # no match across partial tokens
     assert match_sentences(d, [sent("s2", "NewYork is one token")], NO_MATCH_RULES) == []
+    # in one call: the same token texts cased two ways in two sentences, and
+    # a token holding a space, match as the brute-force scan does
+    d = _dict("New York", "York", "left")
+    sentences = [
+        sent("s3", "new YORK met York"),
+        sent("s4", "NEW york left new York"),
+        CorpusSentence("s5", "York left New York",
+                       (("York", 0, 4), ("left", 5, 9), ("New York", 10, 18))),
+    ]
+    got = [
+        (m.sentence_id, m.token_start, m.token_end, m.phrase_key)
+        for m in match_sentences(d, sentences, NO_MATCH_RULES)
+    ]
+    expected = [
+        (s.sentence_id, *hit)
+        for s in sentences
+        for hit in _brute_force_resolve(
+            sorted(_brute_force_windows(set(d.entries), list(s.surfaces())))
+        )
+    ]
+    assert got == expected
+    assert ("s5", 2, 3, "new york") in got
 
 
 def test_match_respects_leftmost_longest():

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import re
 import shutil
@@ -36,6 +38,26 @@ from askner.retrieval import fetch_remote, read_results, serialize_results
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
 SYNTH = REPO / "data" / "synthetic"
+
+
+# -- the benchmark tracer ------------------------------------------------------
+
+
+def test_benchmark_tracer_installs_on_the_pipeline():
+    # perfbench/tracing.py wraps, by name, the functions askner.pipeline calls
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [name for name in tracing.PIPELINE_COUNTERS if not hasattr(pipeline, name)] == []
+    originals = {name: getattr(pipeline, name) for name in tracing.PIPELINE_COUNTERS}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert {name: getattr(pipeline, name) for name in originals} == originals
 
 
 # -- generate / eval / judge-stats over the demo fixtures --------------------
@@ -744,6 +766,19 @@ def test_remote_hits_are_checked_against_corpus(
     assert _artifacts(out) == []
 
 
+def test_remote_record_with_a_nan_score_names_the_question(tmp_path, server, caplog):
+    # NaN compares False with every score, so only the type check can catch it
+    config, questions = _demo_remote(tmp_path, server)
+    question = questions[0].question_text
+    _, records = server.replies[question][0]
+    records[1]["score"] = math.nan
+    out = tmp_path / "out"
+    rc = main(["-q", "generate", "--config", str(config), "--out", str(out)])
+    assert rc == 2
+    assert f"(question {question!r}) record 1: score must be a finite number, got nan" in caplog.text
+    assert _artifacts(out) == []
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -836,17 +871,19 @@ MATCH_TIME_HITS = {
 }
 
 
-def _match_time_generate(tmp_path: Path, rule: int, city_rules, town_rules) -> dict:
-    """generate over MATCH_TIME_HITS with one output type whose two
-    sub-questions enable the given rules; returns sentence id -> tags."""
+def _replay_generate(tmp_path: Path, hits: dict, types: list, **extra) -> Path:
+    """generate in replay mode over ``hits`` (sentence id -> (text, the
+    phrase its hit names, the hit's question id)), tokens split on
+    whitespace, ranks in ``hits`` order, with the config's ``types`` and
+    ``extra`` keys; returns the output folder."""
     corpus, results = [], []
-    for sid, (text, surface, label) in MATCH_TIME_HITS.items():
+    for sid, (text, surface, qid) in hits.items():
         tokens = [[m.group(), m.start(), m.end()] for m in re.finditer(r"\S+", text)]
         corpus.append({"sentence_id": sid, "text": text, "tokens": tokens})
         start = text.index(surface)
-        rank = 1 + sum(r["question_id"] == f"city:{label}" for r in results)
+        rank = 1 + sum(r["question_id"] == qid for r in results)
         results.append({
-            "question_id": f"city:{label}", "rank": rank, "phrase": surface,
+            "question_id": qid, "rank": rank, "phrase": surface,
             "score": 10.0 - rank, "sentence_id": sid,
             "char_start": start, "char_end": start + len(surface),
         })
@@ -856,23 +893,40 @@ def _match_time_generate(tmp_path: Path, rule: int, city_rules, town_rules) -> d
     (tmp_path / "results.jsonl").write_text(
         "".join(json.dumps(r) + "\n" for r in results), encoding="utf-8"
     )
-    (tmp_path / "quality.txt").write_text("Paris Saint Germain\n", encoding="utf-8")
     doc = {
         "corpus": "corpus.jsonl",
         "retrieval": {"mode": "replay", "results": "results.jsonl"},
-        "types": [{"name": "city", "k_l": 10, "labels": [
-            {"label": "city", "rules": list(city_rules)},
-            {"label": "town", "rules": list(town_rules)},
-        ]}],
+        "types": types,
+        **extra,
     }
-    if rule == 10:
-        doc["quality_phrases"] = "quality.txt"
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(doc), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["-q", "generate", "--config", str(config), "--out", str(out)]) == 0
-    sids = {text: sid for sid, (text, _, _) in MATCH_TIME_HITS.items()}
+    return out
+
+
+def _tags_by_sentence(out: Path, hits: dict) -> dict:
+    sids = {text: sid for sid, (text, _, _) in hits.items()}
     return {sids[" ".join(s.tokens)]: s.tags for s in read_conll(out / "dataset.conll")}
+
+
+def _match_time_generate(tmp_path: Path, rule: int, city_rules, town_rules) -> dict:
+    """generate over MATCH_TIME_HITS with one output type whose two
+    sub-questions enable the given rules; returns sentence id -> tags."""
+    hits = {
+        sid: (text, surface, f"city:{label}")
+        for sid, (text, surface, label) in MATCH_TIME_HITS.items()
+    }
+    types = [{"name": "city", "k_l": 10, "labels": [
+        {"label": "city", "rules": list(city_rules)},
+        {"label": "town", "rules": list(town_rules)},
+    ]}]
+    extra = {}
+    if rule == 10:
+        (tmp_path / "quality.txt").write_text("Paris Saint Germain\n", encoding="utf-8")
+        extra["quality_phrases"] = "quality.txt"
+    return _tags_by_sentence(_replay_generate(tmp_path, hits, types, **extra), hits)
 
 
 @pytest.mark.parametrize("town_on", [True, False], ids=["all-on", "one-off"])
@@ -900,3 +954,45 @@ def test_rule_10_runs_only_when_every_sub_question_enables_it(tmp_path, caplog, 
     else:
         assert tags["m4"] == ("O", "O", "B-city", "O", "O", "O", "O")
         assert warning in caplog.text
+
+
+# -- generate: rules 1-7 run once per distinct phrase, rule 8 per hit ----------
+
+
+def test_rule_8_reads_every_hit_of_a_phrase(tmp_path):
+    # the first hit on "Crohn's disease" has no short form after it; the
+    # second has "(CD)", which must still become a pattern that tags "CD"
+    hits = {
+        "a1": ("Crohn's disease is chronic .", "Crohn's disease", "disease:disease"),
+        "a2": ("Crohn's disease (CD) flares .", "Crohn's disease", "disease:disease"),
+        "a3": ("CD is treatable .", "treatable", "disease:disease"),
+    }
+    types = [{"name": "disease", "k_l": 10, "labels": [{"label": "disease", "rules": [3, 8]}]}]
+    out = _replay_generate(tmp_path, hits, types)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["counts"]["abbreviation_patterns"] == 1
+    assert manifest["counts"]["normalized_phrases"] == 2
+    assert _tags_by_sentence(out, hits)["a3"] == ("B-disease", "O", "O", "O")
+
+
+@pytest.mark.parametrize(
+    "types, dictionary",
+    [
+        # one rule set, two labels: rule 7 drops "Town" for the label "town" only
+        ([{"name": "city", "k_l": 10, "rules": [7], "labels": ["city", "town"]}],
+         "town\tcity\t1\n"),
+        # one label, two rule sets: only the type that enables rule 7 drops it
+        ([{"name": "city", "k_l": 10, "rules": [7], "labels": ["town"]},
+          {"name": "place", "k_l": 10, "rules": [], "labels": ["town"]}],
+         "town\tplace\t1\n"),
+    ],
+    ids=["labels-differ", "rules-differ"],
+)
+def test_same_phrase_normalizes_per_sub_question(tmp_path, types, dictionary):
+    first, second = [f"{t['name']}:{label}" for t in types for label in t["labels"]]
+    hits = {
+        "t1": ("Town hall opened .", "Town", first),
+        "t2": ("Town hall closed .", "Town", second),
+    }
+    out = _replay_generate(tmp_path, hits, types)
+    assert (out / "dictionary.tsv").read_text(encoding="utf-8") == dictionary

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from types import SimpleNamespace
 
@@ -174,15 +175,10 @@ def test_ingest_rejects_missing_fields_and_bad_rank():
         ingest_results(["{oops"])
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("rank", 1.9), ("rank", True), ("rank", "1"),
-     ("char_start", True), ("char_start", 0.0), ("char_end", "5")],
-)
-@pytest.mark.parametrize("source", ["replay", "remote"])
-def test_result_rank_and_offsets_must_be_integers(tmp_path, monkeypatch, source, field, value):
+def _reject_second_record(tmp_path, monkeypatch, source, field, value, message):
+    """Replay or fetch two records, the second with ``field`` set to
+    ``value``; the DataError must name that record and give ``message``."""
     records = [phrase(rank=1).to_record(), dict(phrase(rank=2).to_record(), **{field: value})]
-    message = f"{field} must be an integer, got {value!r}"
     if source == "replay":
         path = tmp_path / "results.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
@@ -193,6 +189,37 @@ def test_result_rank_and_offsets_must_be_integers(tmp_path, monkeypatch, source,
         monkeypatch.setattr("requests.get", lambda *args, **kwargs: reply)
         with pytest.raises(DataError, match=re.escape(f"record 1: {message}")):
             fetch_remote("Which city?", "http://localhost:9", 2, question_id="t:q", attempts=1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rank", 1.9), ("rank", True), ("rank", "1"),
+     ("char_start", True), ("char_start", 0.0), ("char_end", "5")],
+)
+@pytest.mark.parametrize("source", ["replay", "remote"])
+def test_result_rank_and_offsets_must_be_integers(tmp_path, monkeypatch, source, field, value):
+    message = f"{field} must be an integer, got {value!r}"
+    _reject_second_record(tmp_path, monkeypatch, source, field, value, message)
+
+
+# a remote reply's question_id is replaced by the local one, so only a
+# replayed one can be wrong
+@pytest.mark.parametrize(
+    "source, field, value, kind",
+    [(source, field, value, kind)
+     for source in ("replay", "remote")
+     for field, value, kind in [
+         ("score", "98", "a finite number"), ("score", True, "a finite number"),
+         ("score", math.nan, "a finite number"), ("score", math.inf, "a finite number"),
+         ("score", -math.inf, "a finite number"), ("score", 10**400, "a finite number"),
+         ("phrase", 7, "a string"), ("sentence_id", 5, "a string"),
+         ("sentence_id", None, "a string"),
+     ]] + [("replay", "question_id", 5, "a string")],
+    ids=lambda v: "int-1e400" if v == 10**400 else None,
+)
+def test_result_fields_must_have_their_json_types(tmp_path, monkeypatch, source, field, value, kind):
+    message = f"{field} must be {kind}, got {value!r}"
+    _reject_second_record(tmp_path, monkeypatch, source, field, value, message)
 
 
 def test_serialize_ingest_roundtrip():
