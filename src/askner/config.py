@@ -1,11 +1,11 @@
 """Pipeline configuration: YAML schema, named presets, validation.
 
 A config names the entity types (each with one or more question labels),
-the corpus, how retrieval happens (replay file, toy retriever, or remote
-endpoint), normalization defaults, and the self-training schedule. Named
-presets bundle the label sets, sentence budgets, and rule choices that work
-well on common benchmark families; a config can start from a preset and
-override pieces.
+the corpus, how retrieval happens (a replay file or a remote endpoint),
+normalization defaults, and the self-training schedule. Named presets
+bundle the label sets, sentence budgets, and rule choices that work well on
+common benchmark families; a config can start from a preset and override
+pieces.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ QUESTION_PRESETS: dict[str, list[dict]] = {
     ],
 }
 
-RETRIEVAL_MODES = ("replay", "toy", "remote")
+RETRIEVAL_MODES = ("replay", "remote")
 
 
 @dataclass(frozen=True)

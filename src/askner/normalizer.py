@@ -2,7 +2,7 @@
 
 Raw retrieved phrases are noisy: coordinated lists, stray punctuation,
 generic lowercase fragments, echoes of the question itself. An ordered rule
-pipeline (rules 1-8) cleans them into dictionary candidates; two further
+pipeline (rules 1-8) cleans them into dictionary phrases; two further
 rules (9-10) apply at dictionary-matching time and live in the annotator.
 Rules 1-7 rewrite a fragment on its own and can be run one at a time with
 ``apply_rule``; rule 8 reads the evidence sentence, so only ``normalize``

@@ -18,7 +18,7 @@ import shutil
 import tempfile
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import __version__
 from .annotator import (
@@ -60,7 +60,6 @@ from .retrieval import (
     load_corpus,
     read_results,
     serialize_results,
-    toy_retrieve,
 )
 from .selftrain import format_training_log, run_self_training
 
@@ -165,52 +164,37 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _retrieve_groups(
-    config: PipelineConfig,
-    questions: Sequence[SubQuestion],
-    corpus: Mapping[str, CorpusSentence] | None,
+def _fetch_groups(
+    config: PipelineConfig, questions: Sequence[SubQuestion]
 ) -> dict[str, list[RetrievedPhrase]]:
+    """Ask the retrieval service every question, several at a time, and
+    group the hits by question id."""
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
     settings = config.retrieval
-    groups: dict[str, list[RetrievedPhrase]] = {}
-    if settings.mode == "toy":
-        for q in questions:
-            groups[q.question_id] = toy_retrieve(
+    pool = ThreadPoolExecutor(max_workers=min(len(questions), _available_cpus()))
+    try:
+        futures = [
+            pool.submit(
+                fetch_remote,
                 q.question_text,
-                corpus,
+                settings.endpoint,
                 settings.top_n,
                 question_id=q.question_id,
-                content_text=q.type_label,
+                timeout=settings.timeout,
+                attempts=settings.attempts,
             )
-    elif settings.mode == "remote":
-        from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
-        pool = ThreadPoolExecutor(max_workers=min(len(questions), _available_cpus()))
-        try:
-            futures = [
-                pool.submit(
-                    fetch_remote,
-                    q.question_text,
-                    settings.endpoint,
-                    settings.top_n,
-                    question_id=q.question_id,
-                    timeout=settings.timeout,
-                    attempts=settings.attempts,
-                )
-                for q in questions
-            ]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            # After a failure, questions not yet started are dropped. The pool
-            # starts questions in order, so every question before a failed one
-            # has run by the time shutdown returns.
-            pool.shutdown(wait=True, cancel_futures=True)
-        # In question order: the earliest failure is raised, whatever order
-        # the responses arrived in.
-        for q, future in zip(questions, futures):
-            groups[q.question_id] = future.result()
-    else:
-        raise ConfigError(f"cannot retrieve in mode {settings.mode!r}")
-    return groups
+            for q in questions
+        ]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        # After a failure, questions not yet started are dropped. The pool
+        # starts questions in order, so every question before a failed one
+        # has run by the time shutdown returns.
+        pool.shutdown(wait=True, cancel_futures=True)
+    # In question order: the earliest failure is raised, whatever order the
+    # responses arrived in.
+    return {q.question_id: future.result() for q, future in zip(questions, futures)}
 
 
 def cmd_retrieve(
@@ -230,26 +214,20 @@ def cmd_retrieve(
     questions = build_question_set(
         config.types, config.template, config.default_k_l, config.default_rules
     )
-    mode = config.retrieval.mode
-    if mode == "replay":
+    if config.retrieval.mode == "replay":
         raise ConfigError(
-            "retrieval mode is 'replay'; nothing to fetch (use --endpoint or mode toy/remote)"
+            "retrieval mode is 'replay'; nothing to fetch (use --endpoint or mode remote)"
         )
-    corpus = None
-    if mode == "toy":
-        _require_files(config.corpus_path)
-        corpus = load_corpus(config.corpus_path)
-    groups = _retrieve_groups(config, questions, corpus)
+    groups = _fetch_groups(config, questions)
     for qid, phrases in groups.items():
         log.info("retrieve: %s -> %d results", qid, len(phrases))
     target = out or config.retrieval.results_path or (config.output_dir / "results.jsonl")
     outputs = {target.name: serialize_results(groups)}
-    inputs = {"corpus": config.corpus_path} if corpus is not None else {}
     manifest = _manifest(
         "retrieve",
         config,
         config.seed,
-        inputs,
+        {},
         outputs,
         counts={"questions": len(questions),
                 "results": sum(len(v) for v in groups.values())},
@@ -340,14 +318,10 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
         else []
     )
 
-    corpus = None
     if mode == "replay":
         groups = read_results(config.retrieval.results_path)
     else:
-        if mode == "toy":
-            # toy retrieval ranks every sentence, so all of them are held
-            corpus = load_corpus(config.corpus_path)
-        groups = _retrieve_groups(config, questions, corpus)
+        groups = _fetch_groups(config, questions)
     results_total = sum(len(v) for v in groups.values())
     log.info("generate: %d retrieval results", results_total)
 
@@ -368,9 +342,8 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
         kept_total += len(budget.kept_phrases)
         budgets.append((q, budget))
 
-    if corpus is None:
-        source = config.retrieval.results_path if mode == "replay" else config.retrieval.endpoint
-        corpus = _load_kept(config.corpus_path, kept_ids, groups, str(source))
+    source = config.retrieval.results_path if mode == "replay" else config.retrieval.endpoint
+    corpus = _load_kept(config.corpus_path, kept_ids, groups, str(source))
     log.info("generate: corpus %d sentences", corpus.total)
 
     normalized = []

@@ -3,8 +3,7 @@
 The pipeline treats phrase retrieval as an external service: given a
 question, it returns ranked (phrase, evidence sentence) pairs. This module
 owns the corpus and results file formats, validation, the per-question
-sentence budget, a deliberately simple lexical stand-in retriever for tests
-and demos, and the HTTP client for a real backend.
+sentence budget, and the HTTP client for the retrieval service.
 """
 
 from __future__ import annotations
@@ -12,30 +11,30 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ConfigError, DataError, FetchError
+from .errors import DataError, FetchError
 
 RESULT_FIELDS = ("question_id", "rank", "phrase", "score", "sentence_id", "char_start", "char_end")
 
 
 @dataclass(frozen=True, slots=True)
 class CorpusSentence:
-    """One pre-tokenized sentence; ``candidates`` are optional phrase spans
-    used by the stand-in retriever."""
+    """One pre-tokenized sentence."""
 
     sentence_id: str
     text: str
     tokens: tuple[tuple[str, int, int], ...]
-    candidates: tuple[tuple[int, int], ...] = ()
 
     def surfaces(self) -> tuple[str, ...]:
         return tuple(t[0] for t in self.tokens)
 
 
 def _check_sentence(s: CorpusSentence, where: str) -> None:
+    if not s.tokens:
+        raise DataError(f"{where}: sentence has no tokens")
     prev_end = 0
     for i, (surface, start, end) in enumerate(s.tokens):
         if not 0 <= start < end <= len(s.text):
@@ -49,9 +48,6 @@ def _check_sentence(s: CorpusSentence, where: str) -> None:
         if "\t" in surface or "\n" in surface:
             raise DataError(f"{where}: token {i} contains tab/newline, unsupported")
         prev_end = end
-    for i, (start, end) in enumerate(s.candidates):
-        if not 0 <= start < end <= len(s.text):
-            raise DataError(f"{where}: candidate {i} span [{start}, {end}) out of bounds")
 
 
 def sentence_from_record(obj: object, where: str = "<corpus>") -> CorpusSentence:
@@ -69,10 +65,9 @@ def sentence_from_record(obj: object, where: str = "<corpus>") -> CorpusSentence
         raise DataError(f"{where}: text must be a string")
     try:
         toks = tuple((str(t[0]), int(t[1]), int(t[2])) for t in tokens)
-        cands = tuple((int(c[0]), int(c[1])) for c in obj.get("candidates", []))
     except (TypeError, ValueError, IndexError) as e:
-        raise DataError(f"{where}: malformed tokens/candidates: {e}") from None
-    sent = CorpusSentence(sentence_id=sid, text=text, tokens=toks, candidates=cands)
+        raise DataError(f"{where}: malformed tokens: {e}") from None
+    sent = CorpusSentence(sentence_id=sid, text=text, tokens=toks)
     _check_sentence(sent, where)
     return sent
 
@@ -321,51 +316,6 @@ def collect_training_sentences(
         kept_phrases=tuple(kept_phrases),
         exhausted=len(kept_sentences) < k_l,
     )
-
-
-def toy_retrieve(
-    question: str,
-    corpus: Mapping[str, CorpusSentence] | Iterable[CorpusSentence],
-    top_n: int,
-    question_id: str = "",
-    content_text: str | None = None,
-) -> list[RetrievedPhrase]:
-    """Rank corpus candidate spans by lexical overlap with the question.
-
-    A candidate's score is the number of content tokens (by default the
-    whole question, lowercased, split on whitespace, punctuation-stripped)
-    that occur among the sentence's lowercased tokens. Ties break on
-    (sentence_id, char_start, char_end). This is a test/demo stand-in, not a
-    retrieval model.
-    """
-    sentences = list(corpus.values()) if isinstance(corpus, Mapping) else list(corpus)
-    if not any(s.candidates for s in sentences):
-        raise ConfigError("corpus has no candidate spans; toy retrieval needs them")
-    text = question if content_text is None else content_text
-    content = [w for w in (w.strip("?.,!:;\"'").lower() for w in text.split()) if w]
-    scored = []
-    for sent in sentences:
-        toks = {t.lower() for t in sent.surfaces()}
-        score = sum(1 for w in content if w in toks)
-        for start, end in sent.candidates:
-            scored.append((-score, sent.sentence_id, start, end))
-    scored.sort()
-    by_id = {s.sentence_id: s for s in sentences}
-    out = []
-    for i, (neg, sid, start, end) in enumerate(scored[: max(top_n, 0)]):
-        sent = by_id[sid]
-        out.append(
-            RetrievedPhrase(
-                question_id=question_id,
-                rank=i + 1,
-                surface=sent.text[start:end],
-                score=float(-neg),
-                sentence_id=sid,
-                char_start=start,
-                char_end=end,
-            )
-        )
-    return out
 
 
 def fetch_remote(

@@ -346,28 +346,33 @@ def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch):
 # Each command's artifacts in the order it writes them, manifest last.
 RUN_ARTIFACTS = {
     "generate": ["dictionary.tsv", "dataset.conll", "manifest.json"],
-    "generate-toy": ["results.jsonl", "dictionary.tsv", "dataset.conll", "manifest.json"],
+    "generate-remote": ["results.jsonl", "dictionary.tsv", "dataset.conll", "manifest.json"],
     "selftrain": ["checkpoint.json", "training_log.jsonl", "report.json", "manifest.json"],
     "retrieve": ["results.jsonl", "results.jsonl.manifest.json"],
 }
 
 
-def _two_runs(command: str, tmp_path: Path, out: Path) -> tuple[list[str], list[str]]:
+def _two_runs(command: str, tmp_path: Path, out: Path, server) -> tuple[list[str], list[str]]:
     """Arguments for two runs of ``command`` into ``out`` that differ in
-    every artifact: another seed, and another stopword list or top_n."""
+    every artifact: another seed, and another stopword list or fewer hits
+    from ``server``."""
     demo = yaml.safe_load((DEMO / "config.yaml").read_text(encoding="utf-8"))
     demo["corpus"] = str(DEMO / "corpus.jsonl")
     demo["retrieval"]["results"] = str(DEMO / "results.jsonl")
     stopwords = tmp_path / "stopwords.txt"
     stopwords.write_text("washington\n", encoding="utf-8")
-    toy = dict(demo, retrieval={"mode": "toy", "top_n": 6})
-    other_toy = dict(toy, seed=1, retrieval={"mode": "toy", "top_n": 5})
+    # every demo question is answered with all of its demo hits, then all but the last
+    remote_config, questions = _demo_remote(tmp_path, server)
+    for q in questions:
+        queue = server.replies[q.question_text]
+        queue.append((200, queue[0][1][:-1]))
+    remote = yaml.safe_load(remote_config.read_text(encoding="utf-8"))
     schedule = {"t_begin": 8, "t_update": 4, "max_iterations": 24}
     configs = {
         "generate": (demo, dict(demo, seed=1, stopwords=str(stopwords))),
-        "generate-toy": (toy, other_toy),
+        "generate-remote": (remote, dict(remote, seed=1)),
         "selftrain": (dict(demo, selftrain=schedule), dict(demo, seed=1, selftrain=schedule)),
-        "retrieve": (toy, other_toy),
+        "retrieve": (remote, dict(remote, seed=1)),
     }[command]
     runs = []
     for i, doc in enumerate(configs):
@@ -386,13 +391,15 @@ def _two_runs(command: str, tmp_path: Path, out: Path) -> tuple[list[str], list[
 @pytest.mark.parametrize(
     "command,artifact", [(c, name) for c, names in RUN_ARTIFACTS.items() for name in names]
 )
-def test_failed_rerun_keeps_previous_run(tmp_path, monkeypatch, command, artifact, failing):
+def test_failed_rerun_keeps_previous_run(
+    tmp_path, monkeypatch, server, command, artifact, failing
+):
     """A re-run into the previous run's folder that fails while staging an
     artifact ("fsync") leaves that run byte-identical; one that fails while
     moving an artifact into place ("replace") may have replaced some files,
     but leaves no manifest that names a file it does not match."""
     out = tmp_path / "out"
-    first, second = _two_runs(command, tmp_path, out)
+    first, second = _two_runs(command, tmp_path, out, server)
     assert main(first) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(before) == sorted(RUN_ARTIFACTS[command])
@@ -436,60 +443,10 @@ def test_failed_rerun_keeps_previous_run(tmp_path, monkeypatch, command, artifac
 # -- retrieve -----------------------------------------------------------------
 
 
-def _toy_config(tmp_path: Path) -> Path:
-    config = tmp_path / "toy.yaml"
-    config.write_text(
-        f"""\
-seed: 0
-corpus: {DEMO / 'corpus.jsonl'}
-retrieval:
-  mode: toy
-  top_n: 6
-types:
-  - name: city
-    k_l: 10
-    rules: [2, 3, 4]
-    labels: [city]
-output_dir: out
-""",
-        encoding="utf-8",
-    )
-    return config
-
-
-def test_retrieve_toy_mode(tmp_path, capsys):
-    config = _toy_config(tmp_path)
-    target = tmp_path / "results.jsonl"
-    rc = main(["-q", "retrieve", "--config", str(config), "--out", str(target)])
-    assert rc == 0
-    groups = read_results(target)
-    assert set(groups) == {"city:city"}
-    assert [p.rank for p in groups["city:city"]] == [1, 2, 3, 4, 5, 6]
-    assert (tmp_path / "results.jsonl.manifest.json").is_file()
-
-
-def test_retrieve_in_replay_mode_is_config_error():
+def test_retrieve_in_replay_mode_is_config_error(caplog):
     rc = main(["-q", "retrieve", "--config", str(DEMO / "config.yaml")])
     assert rc == 1
-
-
-def test_retrieve_flags_are_checked_and_hashed_like_the_config(tmp_path):
-    config = _toy_config(tmp_path)
-    hashes = set()
-    for top_n in (5, 6):
-        target = tmp_path / str(top_n) / "results.jsonl"
-        rc = main(["-q", "retrieve", "--config", str(config), "--top-n", str(top_n),
-                   "--out", str(target)])
-        assert rc == 0
-        assert len(read_results(target)["city:city"]) == top_n
-        manifest = target.with_name("results.jsonl.manifest.json")
-        hashes.add(json.loads(manifest.read_text())["config_hash"])
-    assert len(hashes) == 2
-
-    target = tmp_path / "0" / "results.jsonl"
-    rc = main(["-q", "retrieve", "--config", str(config), "--top-n", "0", "--out", str(target)])
-    assert rc == 1
-    assert not target.parent.exists()
+    assert "nothing to fetch (use --endpoint or mode remote)" in caplog.text
 
 
 # -- remote retrieval against a local HTTP server -----------------------------
@@ -541,7 +498,10 @@ def server():
             pass
 
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # a short poll interval, so that shutdown() returns soon after each test
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield SimpleNamespace(
         url=f"http://127.0.0.1:{httpd.server_port}/search",
@@ -625,8 +585,8 @@ def test_fetch_remote_rising_score_is_data_error_without_retry(server):
     assert len(server.seen) == 1
 
 
-def test_retrieve_remote_cli(tmp_path, server):
-    server.replies["Which city?"] = [(200, [_record(1), _record(2), _record(3)])]
+def _city_config(tmp_path: Path, server) -> Path:
+    """One question, "Which city?", asked of ``server`` for 3 hits."""
     config = tmp_path / "remote.yaml"
     config.write_text(
         f"""\
@@ -645,12 +605,42 @@ output_dir: out
 """,
         encoding="utf-8",
     )
+    return config
+
+
+def test_retrieve_remote_cli(tmp_path, server):
+    server.replies["Which city?"] = [(200, [_record(1), _record(2), _record(3)])]
+    config = _city_config(tmp_path, server)
     target = tmp_path / "results.jsonl"
     rc = main(["-q", "retrieve", "--config", str(config), "--out", str(target)])
     assert rc == 0
     groups = read_results(target)
     assert [p.surface for p in groups["city:city"]] == ["Velgrad"] * 3
     assert server.seen[0]["question"] == "Which city?"
+    manifest = json.loads((tmp_path / "results.jsonl.manifest.json").read_text())
+    assert manifest["inputs"] == {}
+
+
+def test_retrieve_flags_are_checked_and_hashed_like_the_config(tmp_path, server):
+    config = _city_config(tmp_path, server)
+    hashes = set()
+    for top_n in (5, 6):
+        server.replies["Which city?"] = [(200, [_record(r) for r in range(1, top_n + 1)])]
+        target = tmp_path / str(top_n) / "results.jsonl"
+        rc = main(["-q", "retrieve", "--config", str(config), "--top-n", str(top_n),
+                   "--out", str(target)])
+        assert rc == 0
+        assert server.seen[-1]["top_n"] == str(top_n)
+        assert len(read_results(target)["city:city"]) == top_n
+        manifest = target.with_name("results.jsonl.manifest.json")
+        hashes.add(json.loads(manifest.read_text())["config_hash"])
+    assert len(hashes) == 2
+
+    target = tmp_path / "0" / "results.jsonl"
+    rc = main(["-q", "retrieve", "--config", str(config), "--top-n", "0", "--out", str(target)])
+    assert rc == 1
+    assert not target.parent.exists()
+    assert len(server.seen) == 2
 
 
 # -- remote generate: the fetch pool and the corpus check ---------------------

@@ -45,7 +45,7 @@ def test_minimal_config(tmp_path):
 def test_preset_expansion_conll2003(tmp_path):
     cfg = parse_config(
         {"corpus": "c.jsonl", "preset": "conll2003",
-         "retrieval": {"mode": "toy"}},
+         "retrieval": {"mode": "remote", "endpoint": "http://localhost:9/"}},
         base_dir=tmp_path,
     )
     questions = build_question_set(cfg.types, cfg.template)
@@ -128,12 +128,15 @@ def test_bad_rule_ids(tmp_path):
 def test_retrieval_validation(tmp_path):
     with pytest.raises(ConfigError, match="mode"):
         parse_config(_minimal(retrieval={"mode": "psychic"}), base_dir=tmp_path)
+    # retrieval replays a file or asks a service; there is no third mode
+    with pytest.raises(ConfigError, match=r"mode must be one of \('replay', 'remote'\)"):
+        parse_config(_minimal(retrieval={"mode": "toy"}), base_dir=tmp_path)
     with pytest.raises(ConfigError, match="endpoint"):
         parse_config(_minimal(retrieval={"mode": "remote"}), base_dir=tmp_path)
     with pytest.raises(ConfigError, match="results file"):
         parse_config(_minimal(retrieval={"mode": "replay"}), base_dir=tmp_path)
     with pytest.raises(ConfigError, match="top_n"):
-        RetrievalSettings(mode="toy", top_n=0)
+        RetrievalSettings(mode="remote", endpoint="http://localhost:9/", top_n=0)
     # Rejected at load: at fetch time a timeout the HTTP client cannot use
     # raises from inside its pool as a traceback.
     for key, value in [("timeout", 0), ("timeout", -1.5), ("timeout", float("nan")),
@@ -183,7 +186,7 @@ def test_load_config_yaml(tmp_path):
     path.write_text(
         "seed: 5\n"
         "corpus: ../corpus.jsonl\n"
-        "retrieval:\n  mode: toy\n  top_n: 7\n"
+        "retrieval:\n  mode: remote\n  endpoint: http://localhost:9/\n  top_n: 7\n"
         "types:\n  - name: city\n    k_l: 3\n    labels: [city, town]\n",
         encoding="utf-8",
     )
@@ -248,7 +251,9 @@ def test_hash_covers_every_other_field(tmp_path):
     """Replacing any field but base_dir and output_dir, at any depth, gives a
     new hash: no field is silently left out of it."""
     selftrain = {"t_begin": 4, "t_update": 2, "max_iterations": 6}
-    cfg = parse_config(_minimal(selftrain=selftrain), base_dir=tmp_path)
+    # the base config names an endpoint, so that its remote-mode variant is valid
+    replay = {"mode": "replay", "results": "results.jsonl", "endpoint": "http://localhost:8/"}
+    cfg = parse_config(_minimal(selftrain=selftrain, retrieval=replay), base_dir=tmp_path)
     top = {
         "seed": 1,
         "template": QuestionTemplate("list of [TYPE]"),
@@ -260,7 +265,7 @@ def test_hash_covers_every_other_field(tmp_path):
         "quality_phrases_path": tmp_path / "quality.txt",
     }
     retrieval = {
-        "mode": "toy",
+        "mode": "remote",
         "results_path": tmp_path / "other.jsonl",
         "endpoint": "http://localhost:9/",
         "top_n": 5,

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from askner.errors import ConfigError, DataError
+from askner.errors import DataError
 from askner.retrieval import (
     collect_training_sentences,
     fetch_remote,
@@ -14,7 +14,6 @@ from askner.retrieval import (
     read_results,
     sentence_from_record,
     serialize_results,
-    toy_retrieve,
 )
 from testutil import phrase, sent
 
@@ -45,7 +44,8 @@ def test_load_corpus_roundtrip(tmp_path):
     path = _write_corpus(tmp_path, [_record("s1"), _record("s2", "Oslo froze", [[0, 4]])])
     corpus = load_corpus(path)
     assert list(corpus) == ["s1", "s2"]
-    assert corpus["s2"].candidates == ((0, 4),)
+    # an extra key such as "candidates" is ignored
+    assert corpus["s2"] == sentence_from_record(_record("s2", "Oslo froze"))
     assert corpus["s1"].surfaces() == ("Leprosy", "is", "chronic")
 
 
@@ -89,6 +89,7 @@ def test_load_corpus_without_keep_holds_every_sentence(tmp_path):
         ("{broken", "invalid JSON"),
         (json.dumps(dict(_record("s3"), tokens=[["Leprosy", 0]])), "malformed tokens"),
         (json.dumps(dict(_record("s3"), tokens=[["Lepra", 0, 7]])), "!= text slice"),
+        (json.dumps({"sentence_id": "s3", "text": "Oslo", "tokens": []}), "no tokens"),
     ],
 )
 def test_load_corpus_checks_lines_it_does_not_keep(tmp_path, line, message):
@@ -110,11 +111,9 @@ def test_sentence_validation_catches_span_lies():
         sentence_from_record(
             {"sentence_id": "s", "text": "aaaa", "tokens": [["aaa", 0, 3], ["aa", 2, 4]]}
         )
-    with pytest.raises(DataError, match="candidate"):
-        sentence_from_record(
-            {"sentence_id": "s", "text": "abc", "tokens": [["abc", 0, 3]],
-             "candidates": [[2, 9]]}
-        )
+    # a "candidates" key is ignored, whatever its spans
+    abc = {"sentence_id": "s", "text": "abc", "tokens": [["abc", 0, 3]]}
+    assert sentence_from_record(dict(abc, candidates=[[2, 9]])) == sentence_from_record(abc)
     with pytest.raises(DataError, match="tab"):
         sentence_from_record({"sentence_id": "s", "text": "a\tb", "tokens": [["a\tb", 0, 3]]})
 
@@ -281,52 +280,3 @@ def test_budget_walk_requires_sorted_single_question():
     mixed = [phrase(qid="q1", rank=1), phrase(qid="q2", rank=2)]
     with pytest.raises(ValueError, match="mix"):
         collect_training_sentences(mixed, k_l=2)
-
-
-# -- toy retriever ----------------------------------------------------------
-
-
-def test_toy_retrieve_ranks_by_token_overlap():
-    corpus = [
-        sent("s1", "Leprosy is a chronic disease", candidates=[(0, 7)]),
-        sent("s2", "Oslo is a city by the fjord", candidates=[(0, 4)]),
-        sent("s3", "The city museum of Bergen", candidates=[(19, 25)]),
-    ]
-    out = toy_retrieve("Which city?", corpus, top_n=10, question_id="loc:city",
-                       content_text="city")
-    assert [(p.sentence_id, p.surface, p.score) for p in out] == [
-        ("s2", "Oslo", 1.0),
-        ("s3", "Bergen", 1.0),
-        ("s1", "Leprosy", 0.0),
-    ]
-    assert [p.rank for p in out] == [1, 2, 3]
-    assert out[0].question_id == "loc:city"
-
-
-def test_toy_retrieve_uses_question_when_no_content_text():
-    corpus = [
-        sent("s1", "a disease spread", candidates=[(2, 9)]),
-        sent("s2", "nothing here", candidates=[(0, 7)]),
-    ]
-    out = toy_retrieve("Which disease?", corpus, top_n=2)
-    assert out[0].sentence_id == "s1"
-    # "Which" and "disease?" are lowercased and punctuation-stripped
-    assert out[0].score == 1.0
-
-
-def test_toy_retrieve_truncates_and_validates():
-    corpus = [sent("s1", "Oslo city", candidates=[(0, 4), (5, 9)])]
-    assert len(toy_retrieve("city", corpus, top_n=1)) == 1
-    with pytest.raises(ConfigError, match="candidate"):
-        toy_retrieve("city", [sent("s1", "no spans here")], top_n=5)
-
-
-def test_toy_retrieve_tie_breaks_deterministically():
-    corpus = [
-        sent("s2", "Bergen and Oslo", candidates=[(0, 6), (11, 15)]),
-        sent("s1", "Stavanger too", candidates=[(0, 9)]),
-    ]
-    out = toy_retrieve("unmatched", corpus, top_n=3)
-    assert [(p.sentence_id, p.char_start) for p in out] == [
-        ("s1", 0), ("s2", 0), ("s2", 11),
-    ]

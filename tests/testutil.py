@@ -9,10 +9,10 @@ from askner.annotator import LabeledSentence
 from askner.retrieval import CorpusSentence, RetrievedPhrase
 
 
-def sent(sid: str, text: str, candidates=()) -> CorpusSentence:
+def sent(sid: str, text: str) -> CorpusSentence:
     """Whitespace-tokenized sentence with char spans derived from the text."""
     tokens = tuple((m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", text))
-    return CorpusSentence(sid, text, tokens, tuple(candidates))
+    return CorpusSentence(sid, text, tokens)
 
 
 def phrase(
