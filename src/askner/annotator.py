@@ -275,7 +275,7 @@ def assign_types(dictionary: PseudoDictionary, spans: Sequence[MatchSpan]) -> li
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSentence:
     """Tokens plus aligned BIO tags."""
 
@@ -296,8 +296,10 @@ def emit_bio(
     """Project assigned spans onto BIO tags, one LabeledSentence per input.
 
     Spans must be fully assigned, in-bounds, and non-overlapping; violations
-    are internal invariant errors since upstream stages guarantee them.
+    are internal invariant errors since upstream stages guarantee them. Each
+    type's B- and I- tag is one string shared by every token it tags.
     """
+    bio: dict[str, tuple[str, str]] = {}
     by_sid: dict[str, list[MatchSpan]] = {}
     known = {s.sentence_id for s in sentences}
     for span in spans:
@@ -305,6 +307,8 @@ def emit_bio(
             raise InternalInvariantError(f"span references unknown sentence {span.sentence_id!r}")
         if span.assigned_type is None:
             raise InternalInvariantError(f"span has no assigned type: {span}")
+        if span.assigned_type not in bio:
+            bio[span.assigned_type] = (f"B-{span.assigned_type}", f"I-{span.assigned_type}")
         by_sid.setdefault(span.sentence_id, []).append(span)
     out = []
     for sentence in sentences:
@@ -318,9 +322,10 @@ def emit_bio(
             if span.token_start < last_end:
                 raise InternalInvariantError(f"overlapping spans at {span}")
             last_end = span.token_end
-            tags[span.token_start] = f"B-{span.assigned_type}"
+            begin, inside = bio[span.assigned_type]
+            tags[span.token_start] = begin
             for i in range(span.token_start + 1, span.token_end):
-                tags[i] = f"I-{span.assigned_type}"
+                tags[i] = inside
         out.append(
             LabeledSentence(
                 sentence_id=sentence.sentence_id,

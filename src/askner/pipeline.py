@@ -6,6 +6,10 @@ moved into place, the manifest last. The manifest (input/output digests,
 seed, config hash, no timestamps, so identical runs produce byte-identical
 files) exists only if every file it names holds the digest it records; a
 command that fails before its commit leaves the previous run untouched.
+
+``generate`` holds each stage's records only until the next stage has what
+it needs, so its memory is set by the sentences it keeps and what each one
+costs, not by the hits or matches made along the way.
 """
 
 from __future__ import annotations
@@ -18,11 +22,13 @@ import shutil
 import tempfile
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import __version__
 from .annotator import (
     LabeledSentence,
+    MatchSpan,
+    PseudoDictionary,
     assign_types,
     build_dictionary,
     dump_dictionary,
@@ -43,6 +49,7 @@ from .metrics import (
 from .normalizer import (
     BUNDLED_STOPWORDS,
     MATCH_TIME_RULES,
+    NormalizedPhrase,
     RuleSet,
     load_phrase_list,
     load_stopwords,
@@ -292,19 +299,112 @@ def _load_kept(
     return corpus
 
 
+def _pooled_dictionary(
+    config: PipelineConfig,
+    questions: Sequence[SubQuestion],
+    stopwords: frozenset[str],
+    quality: Sequence[str],
+    counts: dict[str, int],
+) -> tuple[PseudoDictionary, list[CorpusSentence], list[dict], str | None]:
+    """Retrieve (or replay) every question's hits, walk their budgets, read
+    the kept sentences, and pool the hits' normalized phrases into the
+    dictionary as they are made.
+
+    Returns the dictionary, the kept sentences in corpus order, the
+    manifest's per-question rows and, in remote mode, the results file's
+    text. The hits, the budgets and the corpus map die when this returns.
+    Record counts are added to ``counts``.
+    """
+    mode = config.retrieval.mode
+    if mode == "replay":
+        groups = read_results(config.retrieval.results_path)
+    else:
+        groups = _fetch_groups(config, questions)
+    counts["results"] = sum(len(v) for v in groups.values())
+    log.info("generate: %d retrieval results", counts["results"])
+
+    kept_ids: set[str] = set()
+    budgets = []
+    question_rows = []
+    for q in questions:
+        results = groups.get(q.question_id, [])
+        if not results:
+            log.warning("generate: no results for %s", q.question_id)
+        budget = collect_training_sentences(results, q.k_l, question_id=q.question_id)
+        if budget.exhausted:
+            log.warning(
+                "generate: %s exhausted at %d/%d sentences",
+                q.question_id, len(budget.kept_sentences), q.k_l,
+            )
+        kept_ids.update(budget.kept_sentences)
+        budgets.append((q, budget))
+        question_rows.append(
+            {
+                "question_id": q.question_id,
+                "question": q.question_text,
+                "k_l": q.k_l,
+                "kept_sentences": len(budget.kept_sentences),
+                "kept_phrases": len(budget.kept_phrases),
+                "exhausted": budget.exhausted,
+            }
+        )
+    counts["kept_sentences"] = len(kept_ids)
+    counts["kept_phrases"] = sum(row["kept_phrases"] for row in question_rows)
+
+    source = config.retrieval.results_path if mode == "replay" else config.retrieval.endpoint
+    corpus = _load_kept(config.corpus_path, kept_ids, groups, str(source))
+    counts["corpus_sentences"] = corpus.total
+    log.info("generate: corpus %d sentences", corpus.total)
+
+    counts["normalized_phrases"] = 0
+
+    def normalized() -> Iterator[NormalizedPhrase]:
+        for q, budget in budgets:
+            ruleset = RuleSet.from_ids(q.rules, stopwords, config.min_length)
+            for phrase in budget.kept_phrases:
+                found = normalize(
+                    phrase,
+                    corpus[phrase.sentence_id],
+                    ruleset,
+                    q.type_label,
+                    output_type=q.output_type,
+                )
+                counts["normalized_phrases"] += len(found)
+                yield from found
+
+    dictionary = build_dictionary(normalized(), quality)
+    log.info("generate: kept %d sentences, %d phrases, %d normalized",
+             counts["kept_sentences"], counts["kept_phrases"], counts["normalized_phrases"])
+    results_text = serialize_results(groups) if mode != "replay" else None
+    return dictionary, list(corpus.values()), question_rows, results_text
+
+
+def _assigned(
+    dictionary: PseudoDictionary, sentences: Sequence[CorpusSentence], rules: RuleSet
+) -> list[MatchSpan]:
+    """Match the dictionary against ``sentences`` and type every match; the
+    untyped matches die when this returns."""
+    if dictionary.entries:
+        spans = match_sentences(dictionary, sentences, rules)
+    else:
+        log.warning("generate: empty dictionary, emitting all-O labels")
+        spans = []
+    return assign_types(dictionary, spans)
+
+
 def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateResult:
     """Produce the weakly labeled dataset: retrieve (or replay), budget,
     read the corpus for the kept sentences, normalize, build the
-    dictionary, annotate, and write the artifacts."""
+    dictionary, annotate, and write the artifacts. Each stage's records are
+    dropped once the next stage has what it needs."""
     out_dir = out or config.output_dir
-    mode = config.retrieval.mode
     inputs: dict[str, Path] = {
         "corpus": config.corpus_path,
         "stopwords": config.stopwords_path or BUNDLED_STOPWORDS,
     }
     if config.quality_phrases_path:
         inputs["quality_phrases"] = config.quality_phrases_path
-    if mode == "replay":
+    if config.retrieval.mode == "replay":
         inputs["results"] = config.retrieval.results_path
     _require_files(*inputs.values())
     questions = build_question_set(
@@ -318,92 +418,28 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
         else []
     )
 
-    if mode == "replay":
-        groups = read_results(config.retrieval.results_path)
-    else:
-        groups = _fetch_groups(config, questions)
-    results_total = sum(len(v) for v in groups.values())
-    log.info("generate: %d retrieval results", results_total)
-
-    kept_ids: set[str] = set()
-    kept_total = 0
-    budgets = []
-    for q in questions:
-        results = groups.get(q.question_id, [])
-        if not results:
-            log.warning("generate: no results for %s", q.question_id)
-        budget = collect_training_sentences(results, q.k_l, question_id=q.question_id)
-        if budget.exhausted:
-            log.warning(
-                "generate: %s exhausted at %d/%d sentences",
-                q.question_id, len(budget.kept_sentences), q.k_l,
-            )
-        kept_ids.update(budget.kept_sentences)
-        kept_total += len(budget.kept_phrases)
-        budgets.append((q, budget))
-
-    source = config.retrieval.results_path if mode == "replay" else config.retrieval.endpoint
-    corpus = _load_kept(config.corpus_path, kept_ids, groups, str(source))
-    log.info("generate: corpus %d sentences", corpus.total)
-
-    normalized = []
-    question_rows = []
-    for q, budget in budgets:
-        ruleset = RuleSet.from_ids(q.rules, stopwords, config.min_length)
-        for phrase in budget.kept_phrases:
-            normalized.extend(
-                normalize(
-                    phrase,
-                    corpus[phrase.sentence_id],
-                    ruleset,
-                    q.type_label,
-                    output_type=q.output_type,
-                )
-            )
-        question_rows.append(
-            {
-                "question_id": q.question_id,
-                "question": q.question_text,
-                "k_l": q.k_l,
-                "kept_sentences": len(budget.kept_sentences),
-                "kept_phrases": len(budget.kept_phrases),
-                "exhausted": budget.exhausted,
-            }
-        )
-    log.info("generate: kept %d sentences, %d phrases, %d normalized",
-             len(kept_ids), kept_total, len(normalized))
-
-    dictionary = build_dictionary(normalized, quality)
+    counts = {"questions": len(questions)}
+    dictionary, sentences, question_rows, results_text = _pooled_dictionary(
+        config, questions, stopwords, quality, counts
+    )
     log.info("generate: dictionary %d entries, %d abbreviation patterns",
              len(dictionary.entries), len(dictionary.abbreviations))
 
-    sentences = [s for sid, s in corpus.items() if sid in kept_ids]
     match_rules = RuleSet.from_ids(_match_time_rules(questions), stopwords, config.min_length)
-    if dictionary.entries:
-        spans = match_sentences(dictionary, sentences, match_rules)
-    else:
-        log.warning("generate: empty dictionary, emitting all-O labels")
-        spans = []
-    assigned = assign_types(dictionary, spans)
+    assigned = _assigned(dictionary, sentences, match_rules)
     labeled = emit_bio(sentences, assigned)
     log.info("generate: %d matches over %d labeled sentences", len(assigned), len(labeled))
-
-    counts = {
-        "corpus_sentences": corpus.total,
-        "questions": len(questions),
-        "results": results_total,
-        "kept_sentences": len(kept_ids),
-        "kept_phrases": kept_total,
-        "normalized_phrases": len(normalized),
-        "dictionary_entries": len(dictionary.entries),
-        "abbreviation_patterns": len(dictionary.abbreviations),
-        "entities": len(assigned),
-        "labeled_sentences": len(labeled),
-    }
+    counts.update(
+        dictionary_entries=len(dictionary.entries),
+        abbreviation_patterns=len(dictionary.abbreviations),
+        entities=len(assigned),
+        labeled_sentences=len(labeled),
+    )
+    del sentences, assigned  # the dataset is written from the labeled sentences alone
 
     outputs = {}
-    if mode != "replay":
-        outputs["results.jsonl"] = serialize_results(groups)
+    if results_text is not None:
+        outputs["results.jsonl"] = results_text
     outputs["dictionary.tsv"] = dump_dictionary(dictionary)
     outputs["dataset.conll"] = format_conll(labeled)
     manifest = _manifest(

@@ -3,7 +3,9 @@
 The pipeline treats phrase retrieval as an external service: given a
 question, it returns ranked (phrase, evidence sentence) pairs. This module
 owns the corpus and results file formats, validation, the per-question
-sentence budget, and the HTTP client for the retrieval service.
+sentence budget, and the HTTP client for the retrieval service. Every field
+of both formats must have its JSON type; nothing is coerced. The sentences
+one corpus read holds share their repeated token strings.
 """
 
 from __future__ import annotations
@@ -50,7 +52,14 @@ def _check_sentence(s: CorpusSentence, where: str) -> None:
         prev_end = end
 
 
-def sentence_from_record(obj: object, where: str = "<corpus>") -> CorpusSentence:
+def sentence_from_record(
+    obj: object, where: str = "<corpus>", surfaces: dict[str, str] | None = None
+) -> CorpusSentence:
+    """Decode and check one corpus record. Each token must be exactly
+    ``[string, int, int]`` (a boolean is not an int); nothing is coerced.
+    With ``surfaces``, a {surface: surface} memo, each token surface is
+    replaced by the equal string the memo already holds, and new ones are
+    added, so sentences read through one memo share their repeated words."""
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
     try:
@@ -63,11 +72,24 @@ def sentence_from_record(obj: object, where: str = "<corpus>") -> CorpusSentence
         raise DataError(f"{where}: sentence_id must be a non-empty string")
     if not isinstance(text, str):
         raise DataError(f"{where}: text must be a string")
-    try:
-        toks = tuple((str(t[0]), int(t[1]), int(t[2])) for t in tokens)
-    except (TypeError, ValueError, IndexError) as e:
-        raise DataError(f"{where}: malformed tokens: {e}") from None
-    sent = CorpusSentence(sentence_id=sid, text=text, tokens=toks)
+    if not isinstance(tokens, list):
+        raise DataError(f"{where}: malformed tokens: expected an array, got {tokens!r}")
+    toks = []
+    for i, token in enumerate(tokens):
+        try:
+            surface, start, end = token
+        except (TypeError, ValueError):
+            surface = start = end = None
+        # only a 3-element JSON array can unpack to a str and two ints
+        if type(surface) is not str or type(start) is not int or type(end) is not int:
+            raise DataError(
+                f"{where}: malformed tokens: token {i} must be [string, int, int], "
+                f"got {token!r}"
+            )
+        if surfaces is not None:
+            surface = surfaces.setdefault(surface, surface)
+        toks.append((surface, start, end))
+    sent = CorpusSentence(sentence_id=sid, text=text, tokens=tuple(toks))
     _check_sentence(sent, where)
     return sent
 
@@ -104,19 +126,23 @@ def load_corpus(
     file, whether or not the sentence is held. With ``keep``, only the
     sentences whose ids it contains are held; the others leave just their
     id behind, for the duplicate check. ``visit``, if given, sees every
-    sentence as it is read.
+    sentence as it is read. Held sentences share equal token surfaces
+    through a {surface: surface} memo that lives for this call only.
     """
     out = Corpus()
     unkept: set[str] = set()
+    surfaces: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for obj, where in jsonl_records(fh, str(path)):
-            sent = sentence_from_record(obj, where)
-            sid = sent.sentence_id
+            # the id is read ahead so that only held sentences enter the memo
+            sid = obj.get("sentence_id") if isinstance(obj, dict) else None
+            held = keep is None or (isinstance(sid, str) and sid in keep)
+            sent = sentence_from_record(obj, where, surfaces if held else None)
             if sid in out or sid in unkept:
                 raise DataError(f"{where}: duplicate sentence_id {sid!r}")
             if visit is not None:
                 visit(sent)
-            if keep is None or sid in keep:
+            if held:
                 out[sid] = sent
             else:
                 unkept.add(sid)

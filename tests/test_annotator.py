@@ -305,6 +305,18 @@ def test_emit_bio_adjacent_spans_restart_with_b():
     assert emit_bio(sentences, spans)[0].tags == ("B-city", "B-city")
 
 
+def test_emit_bio_shares_one_tag_string_per_type():
+    sentences = [sent("s1", "Oslo loves New York"), sent("s2", "New York Oslo")]
+    spans = [
+        MatchSpan("s1", 0, 1, "oslo", assigned_type="city"),
+        MatchSpan("s1", 2, 4, "new york", assigned_type="city"),
+        MatchSpan("s2", 0, 2, "new york", assigned_type="city"),
+    ]
+    first, second = (labeled.tags for labeled in emit_bio(sentences, spans))
+    assert first[0] is first[2] is second[0]
+    assert first[3] is second[1]
+
+
 def test_emit_bio_rejects_bad_spans():
     sentences = [sent("s1", "just three tokens")]
     with pytest.raises(InternalInvariantError, match="unknown sentence"):

@@ -14,6 +14,7 @@ import shutil
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -846,6 +847,53 @@ def test_generate_memory_does_not_grow_with_unnamed_sentences(tmp_path):
         assert (grown.parent / "out" / name).read_bytes() == (base.parent / "out" / name).read_bytes()
     # every sentence held would cost about 1.4 KB; an id seen costs under 0.1 KB
     assert (grown_peak - base_peak) / extra < 200
+
+
+def _synthetic_with_copies(folder: Path, copies: int) -> Path:
+    """The synthetic inputs in ``folder``, with ``copies`` copies of every
+    sentence a hit names, under new ids. Each copy's hits follow the
+    question's last rank at its lowest score, and k_l grows so that every
+    copy is kept; returns the config."""
+    folder.mkdir()
+    hits = read_results(SYNTH / "results.jsonl")
+    named = {p.sentence_id for ranked in hits.values() for p in ranked}
+    lines = (SYNTH / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for c in range(1, copies + 1):
+        for record in records:
+            if record["sentence_id"] in named:
+                lines.append(json.dumps(dict(record, sentence_id=f"{record['sentence_id']}-{c}")))
+    (folder / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for qid, ranked in hits.items():
+        last = ranked[-1]
+        copied = [(c, p) for c in range(1, copies + 1) for p in ranked]
+        hits[qid] = ranked + [
+            replace(p, sentence_id=f"{p.sentence_id}-{c}", rank=last.rank + i, score=last.score)
+            for i, (c, p) in enumerate(copied, 1)
+        ]
+    (folder / "results.jsonl").write_text(serialize_results(hits), encoding="utf-8")
+    doc = yaml.safe_load((SYNTH / "config.yaml").read_text(encoding="utf-8"))
+    for t in doc["types"]:
+        t["k_l"] *= copies + 1
+    (folder / "config.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return folder / "config.yaml"
+
+
+def test_generate_memory_per_kept_sentence(tmp_path):
+    copies = 8
+    base = _synthetic_with_copies(tmp_path / "base", 0)
+    grown = _synthetic_with_copies(tmp_path / "grown", copies)
+    cmd_generate(load_config(base), tmp_path / "warm-up")
+    base_peak, base_counts = _traced_peak(base)
+    grown_peak, grown_counts = _traced_peak(grown)
+    extra = copies * base_counts["kept_sentences"]
+    assert extra == 1600
+    assert grown_counts["kept_sentences"] == base_counts["kept_sentences"] + extra
+    assert grown_counts["labeled_sentences"] == base_counts["labeled_sentences"] + extra
+    # a kept sentence costs about 1.4 KB of traced peak; about 3 KB when each
+    # stage's records outlive the next stage and every token holds its own
+    # surface string
+    assert (grown_peak - base_peak) / extra < 2400
 
 
 # -- generate: match-time rules 9 and 10 --------------------------------------

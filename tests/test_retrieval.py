@@ -90,6 +90,24 @@ def test_load_corpus_without_keep_holds_every_sentence(tmp_path):
         (json.dumps(dict(_record("s3"), tokens=[["Leprosy", 0]])), "malformed tokens"),
         (json.dumps(dict(_record("s3"), tokens=[["Lepra", 0, 7]])), "!= text slice"),
         (json.dumps({"sentence_id": "s3", "text": "Oslo", "tokens": []}), "no tokens"),
+        # token fields are not coerced: a string or float offset, a number as
+        # surface, a boolean offset and a fourth field are all malformed
+        (
+            json.dumps({"sentence_id": "s3", "text": "ab 5", "tokens": [["ab", "0", 2.0], [5, 3, 4]]}),
+            "token 0 must be [string, int, int], got ['ab', '0', 2.0]",
+        ),
+        (
+            json.dumps({"sentence_id": "s3", "text": "ab 5", "tokens": [["ab", 0, 2], [5, 3, 4]]}),
+            "token 1 must be [string, int, int], got [5, 3, 4]",
+        ),
+        (
+            json.dumps({"sentence_id": "s3", "text": "a5", "tokens": [["5", True, 2]]}),
+            "token 0 must be [string, int, int], got ['5', True, 2]",
+        ),
+        (
+            json.dumps({"sentence_id": "s3", "text": "ab", "tokens": [["ab", 0, 2, "extra"]]}),
+            "token 0 must be [string, int, int], got ['ab', 0, 2, 'extra']",
+        ),
     ],
 )
 def test_load_corpus_checks_lines_it_does_not_keep(tmp_path, line, message):
@@ -98,6 +116,16 @@ def test_load_corpus_checks_lines_it_does_not_keep(tmp_path, line, message):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(message)):
         load_corpus(path, {"s2"})
+
+
+def test_load_corpus_held_sentences_share_equal_surfaces(tmp_path):
+    path = _write_corpus(
+        tmp_path, [_record("s1", "Leprosy is chronic"), _record("s2", "Leprosy spreads")]
+    )
+    corpus = load_corpus(path)
+    first, second = corpus["s1"].tokens[0][0], corpus["s2"].tokens[0][0]
+    assert first == second == "Leprosy"
+    assert first is second
 
 
 def test_sentence_validation_catches_span_lies():
