@@ -106,8 +106,8 @@ def atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
-def _commit(out_dir: Path, outputs: Mapping[str, str | bytes]) -> None:
-    """Write ``outputs`` ({file name: content}, manifest last) into
+def _commit(out_dir: Path, outputs: Mapping[str, bytes]) -> None:
+    """Write ``outputs`` ({file name: bytes}, manifest last) into
     ``out_dir`` as one set. Every file is staged before any is moved, so a
     failure while staging leaves the previous run as it was. The old
     manifest is removed before the first move and the new one moved last,
@@ -135,7 +135,7 @@ def _manifest(
     config: PipelineConfig | None,
     seed: int,
     inputs: Mapping[str, Path],
-    outputs: Mapping[str, str | bytes],
+    outputs: Mapping[str, bytes],
     counts: Mapping[str, int],
     extra: Mapping | None = None,
 ) -> dict:
@@ -145,10 +145,7 @@ def _manifest(
         "seed": seed,
         "config_hash": config.config_hash() if config else None,
         "inputs": {name: sha256_file(Path(p)) for name, p in sorted(inputs.items())},
-        "outputs": {
-            name: sha256_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-            for name, data in sorted(outputs.items())
-        },
+        "outputs": {name: sha256_bytes(data) for name, data in sorted(outputs.items())},
         "counts": dict(sorted(counts.items())),
     }
     if extra:
@@ -229,7 +226,7 @@ def cmd_retrieve(
     for qid, phrases in groups.items():
         log.info("retrieve: %s -> %d results", qid, len(phrases))
     target = out or config.retrieval.results_path or (config.output_dir / "results.jsonl")
-    outputs = {target.name: serialize_results(groups)}
+    outputs = {target.name: serialize_results(groups).encode("utf-8")}
     manifest = _manifest(
         "retrieve",
         config,
@@ -239,7 +236,7 @@ def cmd_retrieve(
         counts={"questions": len(questions),
                 "results": sum(len(v) for v in groups.values())},
     )
-    outputs[target.name + ".manifest.json"] = _dump_json(manifest)
+    outputs[target.name + ".manifest.json"] = _dump_json(manifest).encode("utf-8")
     _commit(target.parent, outputs)
     return target
 
@@ -287,11 +284,11 @@ def _load_kept(
     def check(p: RetrievedPhrase, sent: CorpusSentence | None) -> None:
         check_evidence(p, sent, f"{source} ({p.question_id} rank {p.rank})")
 
-    def visit(sent: CorpusSentence) -> None:
-        for p in unkept.pop(sent.sentence_id, ()):
+    def check_hits(sent: CorpusSentence) -> None:
+        for p in unkept.pop(sent.sentence_id):
             check(p, sent)
 
-    corpus = load_corpus(path, keep, visit)
+    corpus = load_corpus(path, keep, dict.fromkeys(unkept, check_hits))
     for phrases in groups.values():
         for p in phrases:
             if p.sentence_id in keep or p.sentence_id in unkept:
@@ -439,14 +436,14 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
 
     outputs = {}
     if results_text is not None:
-        outputs["results.jsonl"] = results_text
-    outputs["dictionary.tsv"] = dump_dictionary(dictionary)
-    outputs["dataset.conll"] = format_conll(labeled)
+        outputs["results.jsonl"] = results_text.encode("utf-8")
+    outputs["dictionary.tsv"] = dump_dictionary(dictionary).encode("utf-8")
+    outputs["dataset.conll"] = format_conll(labeled).encode("utf-8")
     manifest = _manifest(
         "generate", config, config.seed, inputs, outputs, counts,
         extra={"questions_detail": question_rows},
     )
-    outputs["manifest.json"] = _dump_json(manifest)
+    outputs["manifest.json"] = _dump_json(manifest).encode("utf-8")
     _commit(out_dir, outputs)
     return GenerateResult(
         dataset_path=out_dir / "dataset.conll",
@@ -534,8 +531,8 @@ def cmd_selftrain(
     }
     outputs = {
         "checkpoint.json": result.best.state,
-        "training_log.jsonl": format_training_log(result.rounds),
-        "report.json": _dump_json(report),
+        "training_log.jsonl": format_training_log(result.rounds).encode("utf-8"),
+        "report.json": _dump_json(report).encode("utf-8"),
     }
     manifest = _manifest(
         "selftrain",
@@ -550,7 +547,7 @@ def cmd_selftrain(
             "rounds": len(result.rounds),
         },
     )
-    outputs["manifest.json"] = _dump_json(manifest)
+    outputs["manifest.json"] = _dump_json(manifest).encode("utf-8")
     _commit(out_dir, outputs)
     return SelfTrainOutcome(
         checkpoint_path=out_dir / "checkpoint.json",

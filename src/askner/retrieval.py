@@ -6,6 +6,12 @@ owns the corpus and results file formats, validation, the per-question
 sentence budget, and the HTTP client for the retrieval service. Every field
 of both formats must have its JSON type; nothing is coerced. The sentences
 one corpus read holds share their repeated token strings.
+
+Each corpus and results record is first checked in one pass that only says
+whether it is well formed. A record that fails it is checked again one
+property at a time, and that check words the error, so a record with
+several faults always reports the same one. A corpus line whose sentence is
+neither held nor visited is checked without being built.
 """
 
 from __future__ import annotations
@@ -34,32 +40,27 @@ class CorpusSentence:
         return tuple(t[0] for t in self.tokens)
 
 
-def _check_sentence(s: CorpusSentence, where: str) -> None:
-    if not s.tokens:
+def _check_positions(text: str, tokens: Sequence[tuple[str, int, int]], where: str) -> None:
+    if not tokens:
         raise DataError(f"{where}: sentence has no tokens")
     prev_end = 0
-    for i, (surface, start, end) in enumerate(s.tokens):
-        if not 0 <= start < end <= len(s.text):
+    for i, (surface, start, end) in enumerate(tokens):
+        if not 0 <= start < end <= len(text):
             raise DataError(f"{where}: token {i} span [{start}, {end}) out of bounds")
         if start < prev_end:
             raise DataError(f"{where}: token {i} overlaps or is out of order")
-        if s.text[start:end] != surface:
+        if text[start:end] != surface:
             raise DataError(
-                f"{where}: token {i} surface {surface!r} != text slice {s.text[start:end]!r}"
+                f"{where}: token {i} surface {surface!r} != text slice {text[start:end]!r}"
             )
         if "\t" in surface or "\n" in surface:
             raise DataError(f"{where}: token {i} contains tab/newline, unsupported")
         prev_end = end
 
 
-def sentence_from_record(
-    obj: object, where: str = "<corpus>", surfaces: dict[str, str] | None = None
-) -> CorpusSentence:
-    """Decode and check one corpus record. Each token must be exactly
-    ``[string, int, int]`` (a boolean is not an int); nothing is coerced.
-    With ``surfaces``, a {surface: surface} memo, each token surface is
-    replaced by the equal string the memo already holds, and new ones are
-    added, so sentences read through one memo share their repeated words."""
+def _record_fields(obj: object, where: str) -> tuple[str, str, list]:
+    """The sentence id, text and token list of a corpus record, each of its
+    JSON type; the tokens themselves are not looked at."""
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
     try:
@@ -74,6 +75,15 @@ def sentence_from_record(
         raise DataError(f"{where}: text must be a string")
     if not isinstance(tokens, list):
         raise DataError(f"{where}: malformed tokens: expected an array, got {tokens!r}")
+    return sid, text, tokens
+
+
+def _checked_tokens(
+    text: str, tokens: list, where: str, surfaces: dict[str, str]
+) -> tuple[tuple[str, int, int], ...]:
+    """The tokens, checked one property at a time: every token's type
+    before any token's position, each in token order. Its messages are the
+    ones corpus errors give."""
     toks = []
     for i, token in enumerate(tokens):
         try:
@@ -86,12 +96,82 @@ def sentence_from_record(
                 f"{where}: malformed tokens: token {i} must be [string, int, int], "
                 f"got {token!r}"
             )
-        if surfaces is not None:
-            surface = surfaces.setdefault(surface, surface)
-        toks.append((surface, start, end))
-    sent = CorpusSentence(sentence_id=sid, text=text, tokens=tuple(toks))
-    _check_sentence(sent, where)
-    return sent
+        toks.append((surfaces.setdefault(surface, surface), start, end))
+    _check_positions(text, toks, where)
+    return tuple(toks)
+
+
+def _clean_tokens(
+    text: str, tokens: list, surfaces: dict[str, str]
+) -> tuple[tuple[str, int, int], ...] | None:
+    """The tokens in one pass, or None if any check fails: each token is
+    ``[string, int, int]``, in order and in bounds, and equals its slice of
+    ``text``. A text without tab or newline cannot give a surface one."""
+    if not tokens or "\t" in text or "\n" in text:
+        return None
+    toks = []
+    prev_end = 0
+    size = len(text)
+    try:
+        for surface, start, end in tokens:
+            if not (
+                type(surface) is str and type(start) is int and type(end) is int
+                and prev_end <= start < end <= size and text[start:end] == surface
+            ):
+                return None
+            toks.append((surfaces.setdefault(surface, surface), start, end))
+            prev_end = end
+    except (TypeError, ValueError):
+        return None
+    return tuple(toks)
+
+
+def _tokens_ok(text: str, tokens: list) -> bool:
+    """Whether ``_clean_tokens`` would accept ``tokens``. It builds nothing,
+    so a line that is not held costs only its check."""
+    if not tokens or "\t" in text or "\n" in text:
+        return False
+    prev_end = 0
+    size = len(text)
+    try:
+        for surface, start, end in tokens:
+            if not (
+                type(surface) is str and type(start) is int and type(end) is int
+                and prev_end <= start < end <= size and text[start:end] == surface
+            ):
+                return False
+            prev_end = end
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def sentence_from_record(
+    obj: object, where: str = "<corpus>", surfaces: dict[str, str] | None = None
+) -> CorpusSentence:
+    """Decode and check one corpus record. Each token must be exactly
+    ``[string, int, int]`` (a boolean is not an int); nothing is coerced.
+    With ``surfaces``, a {surface: surface} memo, each token surface is
+    replaced by the equal string the memo already holds, and new ones are
+    added, so sentences read through one memo share their repeated words.
+
+    A record with several faults reports the first record-level one, else
+    the first token whose type is wrong, else the first token misplaced."""
+    sid, text, tokens = _record_fields(obj, where)
+    if surfaces is None:
+        surfaces = {}
+    toks = _clean_tokens(text, tokens, surfaces)
+    if toks is None:
+        toks = _checked_tokens(text, tokens, where, surfaces)
+    return CorpusSentence(sentence_id=sid, text=text, tokens=toks)
+
+
+def _check_record(obj: object, where: str) -> None:
+    """Check one corpus record as ``sentence_from_record`` does, with the
+    same errors, but build no sentence."""
+    _, text, tokens = _record_fields(obj, where)
+    if not _tokens_ok(text, tokens):
+        _checked_tokens(text, tokens, where, {})
 
 
 def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[object, str]]:
@@ -118,16 +198,18 @@ class Corpus(dict):
 def load_corpus(
     path: str | Path,
     keep: Container[str] | None = None,
-    visit: Callable[[CorpusSentence], None] | None = None,
+    visit: Mapping[str, Callable[[CorpusSentence], None]] | None = None,
 ) -> Corpus:
     """Read a JSONL corpus into an ordered {sentence_id: sentence} map.
 
     Every line is decoded and checked, and ids must be unique across the
     file, whether or not the sentence is held. With ``keep``, only the
-    sentences whose ids it contains are held; the others leave just their
-    id behind, for the duplicate check. ``visit``, if given, sees every
-    sentence as it is read. Held sentences share equal token surfaces
-    through a {surface: surface} memo that lives for this call only.
+    sentences whose ids it contains are held; the others are checked
+    without being built and leave just their id behind, for the duplicate
+    check. ``visit``, if given, maps sentence ids to callbacks: the sentence
+    with such an id, held or not, is built and passed to its callback as it
+    is read. Held sentences share equal token surfaces through a
+    {surface: surface} memo that lives for this call only.
     """
     out = Corpus()
     unkept: set[str] = set()
@@ -136,12 +218,17 @@ def load_corpus(
         for obj, where in jsonl_records(fh, str(path)):
             # the id is read ahead so that only held sentences enter the memo
             sid = obj.get("sentence_id") if isinstance(obj, dict) else None
-            held = keep is None or (isinstance(sid, str) and sid in keep)
-            sent = sentence_from_record(obj, where, surfaces if held else None)
+            named = isinstance(sid, str)
+            held = keep is None or (named and sid in keep)
+            callback = visit.get(sid) if visit and named else None
+            if held or callback is not None:
+                sent = sentence_from_record(obj, where, surfaces if held else None)
+            else:
+                _check_record(obj, where)
             if sid in out or sid in unkept:
                 raise DataError(f"{where}: duplicate sentence_id {sid!r}")
-            if visit is not None:
-                visit(sent)
+            if callback is not None:
+                callback(sent)
             if held:
                 out[sid] = sent
             else:
@@ -175,6 +262,28 @@ class RetrievedPhrase:
 
 
 def _phrase_from_record(obj: object, where: str) -> RetrievedPhrase:
+    """Decode and check one results record. A record with every field of
+    its type, a float score and a rank of at least 1 is read at once; any
+    other goes field by field, which words the first fault."""
+    if type(obj) is dict:
+        try:
+            qid, rank, surface, score, sid, start, end = (
+                obj["question_id"], obj["rank"], obj["phrase"], obj["score"],
+                obj["sentence_id"], obj["char_start"], obj["char_end"],
+            )
+        except KeyError:
+            pass
+        else:
+            if (
+                type(qid) is str and type(surface) is str and type(sid) is str
+                and type(rank) is int and type(start) is int and type(end) is int
+                and type(score) is float and math.isfinite(score) and rank >= 1
+            ):
+                return RetrievedPhrase(qid, rank, surface, score, sid, start, end)
+    return _checked_phrase(obj, where)
+
+
+def _checked_phrase(obj: object, where: str) -> RetrievedPhrase:
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
     missing = [f for f in RESULT_FIELDS if f not in obj]

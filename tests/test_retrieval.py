@@ -4,9 +4,16 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from askner.errors import DataError
 from askner.retrieval import (
+    RESULT_FIELDS,
+    CorpusSentence,
+    RetrievedPhrase,
+    _check_record,
+    _phrase_from_record,
     collect_training_sentences,
     fetch_remote,
     ingest_results,
@@ -65,10 +72,12 @@ def test_load_corpus_bad_json_names_line(tmp_path):
 def test_load_corpus_holds_only_kept_sentences_in_corpus_order(tmp_path):
     path = _write_corpus(tmp_path, [_record(f"s{i}") for i in range(5)])
     visited = []
-    corpus = load_corpus(path, {"s3", "s1", "absent"}, visited.append)
+    visit = dict.fromkeys(["s4", "s1", "gone"], visited.append)
+    corpus = load_corpus(path, {"s3", "s1", "absent"}, visit)
     assert list(corpus) == ["s1", "s3"]
     assert corpus.total == 5
-    assert [s.sentence_id for s in visited] == ["s0", "s1", "s2", "s3", "s4"]
+    # only the named ids are visited, held or not, in corpus order
+    assert visited == [corpus["s1"], sentence_from_record(_record("s4"))]
 
 
 def test_load_corpus_without_keep_holds_every_sentence(tmp_path):
@@ -108,6 +117,12 @@ def test_load_corpus_without_keep_holds_every_sentence(tmp_path):
             json.dumps({"sentence_id": "s3", "text": "ab", "tokens": [["ab", 0, 2, "extra"]]}),
             "token 0 must be [string, int, int], got ['ab', 0, 2, 'extra']",
         ),
+        # a type fault in any token is reported before a misplaced one
+        (
+            json.dumps({"sentence_id": "s3", "text": "ab cd",
+                        "tokens": [["ab", 0, 9], ["cd", 3, 5], [1, 2, 3]]}),
+            "token 2 must be [string, int, int], got [1, 2, 3]",
+        ),
     ],
 )
 def test_load_corpus_checks_lines_it_does_not_keep(tmp_path, line, message):
@@ -144,6 +159,195 @@ def test_sentence_validation_catches_span_lies():
     assert sentence_from_record(dict(abc, candidates=[[2, 9]])) == sentence_from_record(abc)
     with pytest.raises(DataError, match="tab"):
         sentence_from_record({"sentence_id": "s", "text": "a\tb", "tokens": [["a\tb", 0, 3]]})
+
+
+# -- record checks against the field-by-field reference ---------------------
+
+
+def _ref_check_sentence(s, where):
+    if not s.tokens:
+        raise DataError(f"{where}: sentence has no tokens")
+    prev_end = 0
+    for i, (surface, start, end) in enumerate(s.tokens):
+        if not 0 <= start < end <= len(s.text):
+            raise DataError(f"{where}: token {i} span [{start}, {end}) out of bounds")
+        if start < prev_end:
+            raise DataError(f"{where}: token {i} overlaps or is out of order")
+        if s.text[start:end] != surface:
+            raise DataError(
+                f"{where}: token {i} surface {surface!r} != text slice {s.text[start:end]!r}"
+            )
+        if "\t" in surface or "\n" in surface:
+            raise DataError(f"{where}: token {i} contains tab/newline, unsupported")
+        prev_end = end
+
+
+def _ref_sentence_from_record(obj, where):
+    """The corpus record check as it was before it took one pass, kept as
+    the reference for what a record is and how each fault is worded."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
+    try:
+        sid = obj["sentence_id"]
+        text = obj["text"]
+        tokens = obj["tokens"]
+    except KeyError as e:
+        raise DataError(f"{where}: missing field {e.args[0]!r}") from None
+    if not isinstance(sid, str) or not sid:
+        raise DataError(f"{where}: sentence_id must be a non-empty string")
+    if not isinstance(text, str):
+        raise DataError(f"{where}: text must be a string")
+    if not isinstance(tokens, list):
+        raise DataError(f"{where}: malformed tokens: expected an array, got {tokens!r}")
+    toks = []
+    for i, token in enumerate(tokens):
+        try:
+            surface, start, end = token
+        except (TypeError, ValueError):
+            surface = start = end = None
+        if type(surface) is not str or type(start) is not int or type(end) is not int:
+            raise DataError(
+                f"{where}: malformed tokens: token {i} must be [string, int, int], "
+                f"got {token!r}"
+            )
+        toks.append((surface, start, end))
+    sent = CorpusSentence(sentence_id=sid, text=text, tokens=tuple(toks))
+    _ref_check_sentence(sent, where)
+    return sent
+
+
+def _ref_is_finite_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _ref_phrase_from_record(obj, where):
+    """The results record check as it was before its one-pass read."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
+    missing = [f for f in RESULT_FIELDS if f not in obj]
+    if missing:
+        raise DataError(f"{where}: missing fields {missing}")
+    for f in ("question_id", "phrase", "sentence_id"):
+        if not isinstance(obj[f], str):
+            raise DataError(f"{where}: {f} must be a string, got {obj[f]!r}")
+    for f in ("rank", "char_start", "char_end"):
+        if isinstance(obj[f], bool) or not isinstance(obj[f], int):
+            raise DataError(f"{where}: {f} must be an integer, got {obj[f]!r}")
+    score = obj["score"]
+    if not _ref_is_finite_number(score):
+        raise DataError(f"{where}: score must be a finite number, got {score!r}")
+    p = RetrievedPhrase(
+        question_id=obj["question_id"],
+        rank=obj["rank"],
+        surface=obj["phrase"],
+        score=float(score),
+        sentence_id=obj["sentence_id"],
+        char_start=obj["char_start"],
+        char_end=obj["char_end"],
+    )
+    if p.rank < 1:
+        raise DataError(f"{where}: rank must be >= 1, got {p.rank}")
+    return p
+
+
+def _outcome(check, *args):
+    """What ``check`` returns, or the message of the DataError it raises."""
+    try:
+        return check(*args)
+    except DataError as e:
+        return ("DataError", str(e))
+
+
+# JSON values of every type, for a field or token part to be replaced by
+_ODD = st.sampled_from([True, False, None, 0, -1, 2, 99, 1.0, 2.5, "0", "ab", "", [], {}])
+
+
+@st.composite
+def _corpus_records(draw):
+    """A well-formed corpus record, then up to three faults: a token part of
+    another type, a token of two, four or no fields, a shifted offset (out
+    of bounds, overlapping or a slice lie), two tokens swapped, a tab or
+    newline inside a token or between tokens, or a record field of the
+    wrong shape or missing."""
+    text, tokens = "", []
+    for word in draw(st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=5)):
+        text += draw(st.sampled_from(["", "", " ", " ", " ", "\t"]))
+        tokens.append([word, len(text), len(text) + len(word)])
+        text += word
+    rec = {"sentence_id": "s", "text": text, "tokens": tokens}
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 2, 3]))):
+        kind = draw(st.integers(0, 11))
+        if tokens and kind < 8:
+            # kind 4 stretches the last token past the end of the text
+            i = len(tokens) - 1 if kind == 4 else draw(st.integers(0, len(tokens) - 1))
+            token, part = tokens[i], 2 if kind == 4 else draw(st.integers(0, 2))
+            if kind == 7 or not isinstance(token, list) or len(token) != 3:
+                tokens[i] = draw(_ODD)
+            elif kind < 2:
+                token[part] = draw(_ODD)
+            elif kind < 5 and type(token[part]) is int:
+                shifts = [1, 2, 9] if kind == 4 else [-9, -2, -1, 1, 2, 9]
+                token[part] += draw(st.sampled_from(shifts))
+            elif kind == 5 and type(token[1]) is type(token[2]) is int and token[1] < len(text):
+                # a tab or newline inside a token, its surface still the slice
+                start = max(token[1], 0)
+                text = text[:start] + draw(st.sampled_from(["\t", "\n"])) + text[start + 1:]
+                rec["text"], token[0] = text, text[start:token[2]]
+            elif kind == 6 and i:
+                tokens[i - 1], tokens[i] = token, tokens[i - 1]
+            elif kind == 6:
+                tokens[i] = token[:2] if draw(st.booleans()) else token + [0]
+        elif kind < 10:
+            i = draw(st.integers(0, len(text)))
+            rec["text"] = text = text[:i] + draw(st.sampled_from(["\t", "\n", "b"])) + text[i:]
+        elif draw(st.booleans()):
+            rec[draw(st.sampled_from(["sentence_id", "text", "tokens"]))] = draw(_ODD)
+        else:
+            rec.pop(draw(st.sampled_from(["sentence_id", "text", "tokens"])), None)
+    return json.loads(json.dumps(rec))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_corpus_records())
+def test_corpus_record_checks_match_the_reference(rec):
+    expected = _outcome(_ref_sentence_from_record, rec, "c:1")
+    assert _outcome(sentence_from_record, rec, "c:1") == expected
+    assert _outcome(sentence_from_record, rec, "c:1", {}) == expected
+    # the check alone raises the same error, or passes
+    failed = isinstance(expected, tuple)
+    assert _outcome(_check_record, rec, "c:1") == (expected if failed else None)
+
+
+@st.composite
+def _result_records(draw):
+    """A results record, its rank sometimes 0, with up to three fields
+    replaced by another JSON value or removed; now and then not an object
+    at all."""
+    rec = phrase(
+        rank=draw(st.integers(0, 3)),
+        score=draw(st.sampled_from([98.0, 0.5, -1.0])),
+    ).to_record()
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 2, 3]))):
+        field = draw(st.sampled_from(RESULT_FIELDS))
+        if draw(st.integers(0, 5)):
+            rec[field] = draw(_ODD | st.sampled_from([math.nan, math.inf, 10**400]))
+        else:
+            rec.pop(field, None)
+    return draw(st.sampled_from([rec] * 8 + [[rec], "rec"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_result_records())
+def test_result_record_checks_match_the_reference(rec):
+    got = _outcome(_phrase_from_record, rec, "r:1")
+    assert got == _outcome(_ref_phrase_from_record, rec, "r:1")
+    if isinstance(got, RetrievedPhrase):
+        assert type(got.score) is float
 
 
 # -- results ingestion ------------------------------------------------------
@@ -198,6 +402,10 @@ def test_ingest_rejects_missing_fields_and_bad_rank():
         ingest_results(['{"question_id": "a"}'])
     with pytest.raises(DataError, match="rank"):
         ingest_results(_lines(phrase(rank=0)))
+    # a field of the wrong type is reported before a rank below 1
+    bad_score = json.dumps(dict(phrase(rank=0).to_record(), score="x"))
+    with pytest.raises(DataError, match=re.escape("score must be a finite number, got 'x'")):
+        ingest_results([bad_score])
     with pytest.raises(DataError, match="JSON"):
         ingest_results(["{oops"])
 
@@ -247,6 +455,22 @@ def test_result_rank_and_offsets_must_be_integers(tmp_path, monkeypatch, source,
 def test_result_fields_must_have_their_json_types(tmp_path, monkeypatch, source, field, value, kind):
     message = f"{field} must be {kind}, got {value!r}"
     _reject_second_record(tmp_path, monkeypatch, source, field, value, message)
+
+
+@pytest.mark.parametrize("source", ["replay", "remote"])
+def test_integer_score_loads_and_writes_as_float(tmp_path, monkeypatch, source):
+    record = dict(phrase(rank=1).to_record(), score=98)
+    if source == "replay":
+        path = tmp_path / "results.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        groups = read_results(path)
+    else:
+        reply = SimpleNamespace(status_code=200, json=lambda: [record])
+        monkeypatch.setattr("requests.get", lambda *args, **kwargs: reply)
+        groups = {"t:q": fetch_remote("Which city?", "http://localhost:9", 1, question_id="t:q")}
+    (hit,) = groups["t:q"]
+    assert type(hit.score) is float and hit.score == 98.0
+    assert '"score": 98.0,' in serialize_results(groups)
 
 
 def test_serialize_ingest_roundtrip():
