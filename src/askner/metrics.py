@@ -118,15 +118,24 @@ class RetrievalJudgments:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], source: str = "<judgments>") -> "RetrievalJudgments":
+        """Read JSONL judgment records. ``question_id`` must be a string,
+        ``rank`` an integer (a boolean is not one) and ``correct`` a
+        boolean; nothing is coerced."""
         judged: dict[tuple[str, int], bool] = {}
         for obj, where in jsonl_records(lines, source):
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
             try:
-                key = (str(obj["question_id"]), int(obj["rank"]))
-                verdict = obj["correct"]
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{where}: malformed judgment record: {e}") from None
+                qid, rank, verdict = obj["question_id"], obj["rank"], obj["correct"]
+            except KeyError as e:
+                raise DataError(f"{where}: missing field {e.args[0]!r}") from None
+            if not isinstance(qid, str):
+                raise DataError(f"{where}: question_id must be a string, got {qid!r}")
+            if isinstance(rank, bool) or not isinstance(rank, int):
+                raise DataError(f"{where}: rank must be an integer, got {rank!r}")
             if not isinstance(verdict, bool):
-                raise DataError(f"{where}: 'correct' must be a boolean")
+                raise DataError(f"{where}: correct must be a boolean, got {verdict!r}")
+            key = (qid, rank)
             if key in judged:
                 raise DataError(f"{where}: duplicate judgment for {key}")
             judged[key] = verdict

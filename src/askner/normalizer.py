@@ -140,7 +140,6 @@ class NormalizedPhrase:
     """
 
     surface: str
-    origin: "RetrievedPhrase"
     type_label: str
     abbreviation: str | None = None
 
@@ -260,9 +259,7 @@ def normalize(
         abbrev = None
         if rule_8 and frag in evidence.text:
             abbrev = detect_abbreviation(frag, evidence.text)
-        results.append(
-            NormalizedPhrase(surface=frag, origin=phrase, type_label=label, abbreviation=abbrev)
-        )
+        results.append(NormalizedPhrase(surface=frag, type_label=label, abbreviation=abbrev))
     return results
 
 

@@ -7,17 +7,19 @@ sentence budget, and the HTTP client for the retrieval service. Every field
 of both formats must have its JSON type; nothing is coerced. The sentences
 one corpus read holds share their repeated token strings.
 
-Each corpus and results record is first checked in one pass that only says
-whether it is well formed. A record that fails it is checked again one
-property at a time, and that check words the error, so a record with
-several faults always reports the same one. A corpus line whose sentence is
-neither held nor visited is checked without being built.
+One function checks each record kind: ``_check_tokens`` the tokens of a
+corpus record, ``_phrase_from_record`` a results record. Each has a first
+pass that only accepts a well-formed record, then a walk that words the
+fault of a record the pass rejected, so a record with several faults always
+reports the same one. A corpus line whose sentence is neither held nor
+visited is checked without being built.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,24 +42,6 @@ class CorpusSentence:
         return tuple(t[0] for t in self.tokens)
 
 
-def _check_positions(text: str, tokens: Sequence[tuple[str, int, int]], where: str) -> None:
-    if not tokens:
-        raise DataError(f"{where}: sentence has no tokens")
-    prev_end = 0
-    for i, (surface, start, end) in enumerate(tokens):
-        if not 0 <= start < end <= len(text):
-            raise DataError(f"{where}: token {i} span [{start}, {end}) out of bounds")
-        if start < prev_end:
-            raise DataError(f"{where}: token {i} overlaps or is out of order")
-        if text[start:end] != surface:
-            raise DataError(
-                f"{where}: token {i} surface {surface!r} != text slice {text[start:end]!r}"
-            )
-        if "\t" in surface or "\n" in surface:
-            raise DataError(f"{where}: token {i} contains tab/newline, unsupported")
-        prev_end = end
-
-
 def _record_fields(obj: object, where: str) -> tuple[str, str, list]:
     """The sentence id, text and token list of a corpus record, each of its
     JSON type; the tokens themselves are not looked at."""
@@ -78,13 +62,30 @@ def _record_fields(obj: object, where: str) -> tuple[str, str, list]:
     return sid, text, tokens
 
 
-def _checked_tokens(
-    text: str, tokens: list, where: str, surfaces: dict[str, str]
-) -> tuple[tuple[str, int, int], ...]:
-    """The tokens, checked one property at a time: every token's type
-    before any token's position, each in token order. Its messages are the
-    ones corpus errors give."""
-    toks = []
+def _check_tokens(text: str, tokens: list, where: str) -> None:
+    """Raise DataError unless each token is exactly ``[string, int, int]``
+    (a boolean is not an int), the tokens are in order and in bounds, and
+    each equals its slice of ``text`` and holds no tab or newline.
+
+    A first pass only accepts; a text without tab or newline cannot give a
+    surface one. Tokens it rejects are walked again to word the fault: the
+    first token whose type is wrong, else no tokens, else the first token
+    misplaced."""
+    if tokens and "\t" not in text and "\n" not in text:
+        prev_end = 0
+        size = len(text)
+        try:
+            for surface, start, end in tokens:
+                if not (
+                    type(surface) is str and type(start) is int and type(end) is int
+                    and prev_end <= start < end <= size and text[start:end] == surface
+                ):
+                    break
+                prev_end = end
+            else:
+                return
+        except (TypeError, ValueError):
+            pass
     for i, token in enumerate(tokens):
         try:
             surface, start, end = token
@@ -96,73 +97,37 @@ def _checked_tokens(
                 f"{where}: malformed tokens: token {i} must be [string, int, int], "
                 f"got {token!r}"
             )
-        toks.append((surfaces.setdefault(surface, surface), start, end))
-    _check_positions(text, toks, where)
-    return tuple(toks)
-
-
-def _clean_tokens(
-    text: str, tokens: list, surfaces: dict[str, str]
-) -> tuple[tuple[str, int, int], ...] | None:
-    """The tokens in one pass, or None if any check fails: each token is
-    ``[string, int, int]``, in order and in bounds, and equals its slice of
-    ``text``. A text without tab or newline cannot give a surface one."""
-    if not tokens or "\t" in text or "\n" in text:
-        return None
-    toks = []
+    if not tokens:
+        raise DataError(f"{where}: sentence has no tokens")
     prev_end = 0
-    size = len(text)
-    try:
-        for surface, start, end in tokens:
-            if not (
-                type(surface) is str and type(start) is int and type(end) is int
-                and prev_end <= start < end <= size and text[start:end] == surface
-            ):
-                return None
-            toks.append((surfaces.setdefault(surface, surface), start, end))
-            prev_end = end
-    except (TypeError, ValueError):
-        return None
-    return tuple(toks)
-
-
-def _tokens_ok(text: str, tokens: list) -> bool:
-    """Whether ``_clean_tokens`` would accept ``tokens``. It builds nothing,
-    so a line that is not held costs only its check."""
-    if not tokens or "\t" in text or "\n" in text:
-        return False
-    prev_end = 0
-    size = len(text)
-    try:
-        for surface, start, end in tokens:
-            if not (
-                type(surface) is str and type(start) is int and type(end) is int
-                and prev_end <= start < end <= size and text[start:end] == surface
-            ):
-                return False
-            prev_end = end
-    except (TypeError, ValueError):
-        return False
-    return True
+    for i, (surface, start, end) in enumerate(tokens):
+        if not 0 <= start < end <= len(text):
+            raise DataError(f"{where}: token {i} span [{start}, {end}) out of bounds")
+        if start < prev_end:
+            raise DataError(f"{where}: token {i} overlaps or is out of order")
+        if text[start:end] != surface:
+            raise DataError(
+                f"{where}: token {i} surface {surface!r} != text slice {text[start:end]!r}"
+            )
+        if "\t" in surface or "\n" in surface:
+            raise DataError(f"{where}: token {i} contains tab/newline, unsupported")
+        prev_end = end
 
 
 def sentence_from_record(
     obj: object, where: str = "<corpus>", surfaces: dict[str, str] | None = None
 ) -> CorpusSentence:
-    """Decode and check one corpus record. Each token must be exactly
-    ``[string, int, int]`` (a boolean is not an int); nothing is coerced.
-    With ``surfaces``, a {surface: surface} memo, each token surface is
-    replaced by the equal string the memo already holds, and new ones are
-    added, so sentences read through one memo share their repeated words.
+    """Decode and check one corpus record; nothing is coerced. With
+    ``surfaces``, a {surface: surface} memo, each token surface is replaced
+    by the equal string the memo already holds, and new ones are added, so
+    sentences read through one memo share their repeated words.
 
     A record with several faults reports the first record-level one, else
     the first token whose type is wrong, else the first token misplaced."""
     sid, text, tokens = _record_fields(obj, where)
-    if surfaces is None:
-        surfaces = {}
-    toks = _clean_tokens(text, tokens, surfaces)
-    if toks is None:
-        toks = _checked_tokens(text, tokens, where, surfaces)
+    _check_tokens(text, tokens, where)
+    memo = {} if surfaces is None else surfaces
+    toks = tuple([(memo.setdefault(s, s), start, end) for s, start, end in tokens])
     return CorpusSentence(sentence_id=sid, text=text, tokens=toks)
 
 
@@ -170,8 +135,7 @@ def _check_record(obj: object, where: str) -> None:
     """Check one corpus record as ``sentence_from_record`` does, with the
     same errors, but build no sentence."""
     _, text, tokens = _record_fields(obj, where)
-    if not _tokens_ok(text, tokens):
-        _checked_tokens(text, tokens, where, {})
+    _check_tokens(text, tokens, where)
 
 
 def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[object, str]]:
@@ -262,9 +226,11 @@ class RetrievedPhrase:
 
 
 def _phrase_from_record(obj: object, where: str) -> RetrievedPhrase:
-    """Decode and check one results record. A record with every field of
-    its type, a float score and a rank of at least 1 is read at once; any
-    other goes field by field, which words the first fault."""
+    """Decode and check one results record: every field of its JSON type
+    (a boolean is not an integer), a finite score, read as a float, and a
+    rank of at least 1. A well-formed record with a float score is read in
+    one test; any other is checked field by field, which words the first
+    fault."""
     if type(obj) is dict:
         try:
             qid, rank, surface, score, sid, start, end = (
@@ -280,10 +246,6 @@ def _phrase_from_record(obj: object, where: str) -> RetrievedPhrase:
                 and type(score) is float and math.isfinite(score) and rank >= 1
             ):
                 return RetrievedPhrase(qid, rank, surface, score, sid, start, end)
-    return _checked_phrase(obj, where)
-
-
-def _checked_phrase(obj: object, where: str) -> RetrievedPhrase:
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
     missing = [f for f in RESULT_FIELDS if f not in obj]
@@ -296,31 +258,16 @@ def _checked_phrase(obj: object, where: str) -> RetrievedPhrase:
         if isinstance(obj[f], bool) or not isinstance(obj[f], int):
             raise DataError(f"{where}: {f} must be an integer, got {obj[f]!r}")
     score = obj["score"]
-    if not _is_finite_number(score):
+    # false for NaN, the infinities and an integer too large for a float
+    finite = isinstance(score, (int, float)) and abs(score) <= sys.float_info.max
+    if isinstance(score, bool) or not finite:
         raise DataError(f"{where}: score must be a finite number, got {score!r}")
-    p = RetrievedPhrase(
-        question_id=obj["question_id"],
-        rank=obj["rank"],
-        surface=obj["phrase"],
-        score=float(score),
-        sentence_id=obj["sentence_id"],
-        char_start=obj["char_start"],
-        char_end=obj["char_end"],
+    if obj["rank"] < 1:
+        raise DataError(f"{where}: rank must be >= 1, got {obj['rank']}")
+    return RetrievedPhrase(
+        obj["question_id"], obj["rank"], obj["phrase"], float(score),
+        obj["sentence_id"], obj["char_start"], obj["char_end"],
     )
-    if p.rank < 1:
-        raise DataError(f"{where}: rank must be >= 1, got {p.rank}")
-    return p
-
-
-def _is_finite_number(value: object) -> bool:
-    """True for a JSON number other than NaN and the infinities; a bool is
-    not a number here, and an integer too large for a float is not finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def check_evidence(p: RetrievedPhrase, sent: CorpusSentence | None, where: str) -> None:

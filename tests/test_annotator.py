@@ -16,7 +16,7 @@ from askner.errors import InternalInvariantError
 from askner.normalizer import NormalizedPhrase, RuleSet
 from askner.retrieval import CorpusSentence
 from test_acceptance import _brute_force_resolve, _brute_force_windows
-from testutil import phrase, sent
+from testutil import sent
 
 NO_MATCH_RULES = RuleSet.from_ids([])
 RULE9 = RuleSet.from_ids([9])
@@ -24,10 +24,7 @@ RULE10 = RuleSet.from_ids([10])
 
 
 def np(surface, type_label="city", abbreviation=None):
-    return NormalizedPhrase(
-        surface=surface, origin=phrase(surface=surface), type_label=type_label,
-        abbreviation=abbreviation,
-    )
+    return NormalizedPhrase(surface=surface, type_label=type_label, abbreviation=abbreviation)
 
 
 # -- dictionary building ----------------------------------------------------

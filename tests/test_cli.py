@@ -453,6 +453,9 @@ def test_retrieve_in_replay_mode_is_config_error(caplog):
 # -- remote retrieval against a local HTTP server -----------------------------
 
 
+HOLD_S = 5.0
+
+
 @pytest.fixture
 def server():
     """A local retrieval service keyed by the ``question`` parameter.
@@ -460,19 +463,25 @@ def server():
     ``replies`` maps a question to its queue of (status, payload) responses;
     each queue is served in order, whatever order the questions arrive in. ``delay`` maps a question to seconds to wait
     before answering it. ``stats.max_active`` is the most connections the
-    server held open at once.
+    server held open at once. Until it reaches ``hold_until``, each request
+    waits up to ``HOLD_S`` seconds before it is answered, so that
+    ``hold_until`` requests are in flight together however slowly the
+    client's threads start.
     """
     replies: dict[str, list[tuple[int, object]]] = {}
     delay: dict[str, float] = {}
     requests_seen: list[dict] = []
     stats = SimpleNamespace(active=0, max_active=0)
-    lock = threading.Lock()
+    lock = threading.Condition()
+    srv = SimpleNamespace(replies=replies, delay=delay, seen=requests_seen, stats=stats,
+                          hold_until=0)
 
     class Handler(BaseHTTPRequestHandler):
         def handle(self):
             with lock:
                 stats.active += 1
                 stats.max_active = max(stats.max_active, stats.active)
+                lock.notify_all()
             try:
                 super().handle()
             finally:
@@ -486,6 +495,7 @@ def server():
                 requests_seen.append(query)
                 queue = replies.get(question)
                 status, payload = queue.pop(0) if queue else (500, "exhausted")
+                lock.wait_for(lambda: stats.max_active >= srv.hold_until, timeout=HOLD_S)
             time.sleep(delay.get(question, 0.0))
             body = payload if isinstance(payload, str) else json.dumps(payload)
             data = body.encode("utf-8")
@@ -504,13 +514,8 @@ def server():
         target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
-    yield SimpleNamespace(
-        url=f"http://127.0.0.1:{httpd.server_port}/search",
-        replies=replies,
-        delay=delay,
-        seen=requests_seen,
-        stats=stats,
-    )
+    srv.url = f"http://127.0.0.1:{httpd.server_port}/search"
+    yield srv
     httpd.shutdown()
     httpd.server_close()
     thread.join(timeout=10)
@@ -694,7 +699,7 @@ output_dir: out
     )
     for label in ("disease", "illness", "city", "town"):
         server.replies[f"Which {label}?"] = [(200, [_record(1, surface=label)])]
-        server.delay[f"Which {label}?"] = 0.05
+    server.hold_until = min(4, cpus)
     target = tmp_path / "results.jsonl"
     rc = main(["-q", "retrieve", "--config", str(config), "--out", str(target)])
     assert rc == 0

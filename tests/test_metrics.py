@@ -145,6 +145,24 @@ def test_judgments_parse_and_validate():
         RetrievalJudgments.from_lines(["nope"])
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"question_id": 5, "rank": 1.9, "correct": true}', "question_id must be a string, got 5"),
+        ('{"question_id": "q", "rank": 1.9, "correct": true}', "rank must be an integer, got 1.9"),
+        ('{"question_id": "q", "rank": "2", "correct": true}', "rank must be an integer, got '2'"),
+        ('{"question_id": "q", "rank": true, "correct": true}', "rank must be an integer, got True"),
+        ('[1, 2]', "expected an object, got list"),
+        ('{"question_id": "q", "correct": true}', "missing field 'rank'"),
+    ],
+)
+def test_judgments_are_not_coerced(record, message):
+    lines = ['{"question_id": "q", "rank": 1, "correct": true}', record]
+    with pytest.raises(DataError) as e:
+        RetrievalJudgments.from_lines(lines, source="j.jsonl")
+    assert str(e.value) == f"j.jsonl:2: {message}"
+
+
 def test_diversity_is_case_insensitive():
     assert diversity(_results(), 5) == 3      # {oslo, bergen, tromsø}
     assert diversity(_results(), 2) == 2

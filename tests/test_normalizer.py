@@ -117,7 +117,7 @@ def test_normalize_respects_disabled_rules():
 def test_normalize_records_output_type():
     out = _normalize("Paris", type_label="city", output_type="location")
     assert out[0].type_label == "location"
-    assert out[0].origin.surface == "Paris"
+    assert out[0].surface == "Paris"
 
 
 def test_normalize_type_echo_uses_question_label_not_output_type():
@@ -206,11 +206,10 @@ def test_abbreviation_scans_later_occurrences():
 
 
 def test_normalized_phrase_requires_trimmed_surface():
-    p = phrase()
     with pytest.raises(ValueError):
-        NormalizedPhrase(surface=" x ", origin=p, type_label="t")
+        NormalizedPhrase(surface=" x ", type_label="t")
     with pytest.raises(ValueError):
-        NormalizedPhrase(surface="", origin=p, type_label="t")
+        NormalizedPhrase(surface="", type_label="t")
 
 
 def test_load_stopwords_custom_file(tmp_path):
