@@ -267,10 +267,12 @@ def detect_abbreviation(long_form: str, sentence_text: str) -> str | None:
     """Find a parenthesized short form of ``long_form`` in ``sentence_text``.
 
     The candidate must sit in parentheses immediately after an occurrence of
-    the long form, be 2 to (long-form tokens + 5) characters, span at most
-    two tokens, contain a letter, and its characters must match
-    right-to-left into the long form with the first character landing at a
-    word start. Returns None when nothing qualifies.
+    the long form. Following Schwartz and Hearst, it is 2 to 10 characters
+    long, starts with a letter or digit, and its long form has at most
+    min(n + 5, 2n) words, n being the candidate's length in characters. It
+    also spans at most two tokens, contains a letter, and its characters
+    must match right-to-left into the long form with the first character
+    landing at a word start. Returns None when nothing qualifies.
     """
     lf_tokens = long_form.split()
     if not lf_tokens:
@@ -293,7 +295,9 @@ def detect_abbreviation(long_form: str, sentence_text: str) -> str | None:
 
 def _valid_short_form(candidate: str, lf_tokens: list[str]) -> bool:
     n = len(candidate)
-    if not 2 <= n <= len(lf_tokens) + 5:
+    if not 2 <= n <= 10 or not candidate[0].isalnum():
+        return False
+    if len(lf_tokens) > min(n + 5, 2 * n):
         return False
     if len(candidate.split()) > 2:
         return False

@@ -5,11 +5,17 @@ decoding over BIO tags with an illegal-transition mask, simple lexical and
 shape features, and weight averaging over update steps. Deterministic for a
 fixed seed, dataset, and step count.
 
-Training decodes each update's one sentence from the live weights, feature
-by feature; ``predict`` compiles the averaged weights once per call into
-per-word score tuples. The compile pays for itself only over a batch: run on
-every update's single sentence it made training about 30% slower. Both break
-ties toward the earliest tag in ``tags``, which lists "O" first.
+A word's feature names (``w=``, ``shape=``, ``pre=``, ``suf=`` and the
+``prev=``/``next=`` names it gives its neighbours) do not depend on the
+weights, so ``_word_names`` builds them once per word and keeps them in a
+bounded memo that outlives every call. Training decodes each update's one
+sentence from the live weights: it looks each feature row up once per token
+and sums the rows tag by tag, over the tags that may follow the previous one.
+``predict`` compiles the averaged weights once per call into per-word score
+tuples. The compile pays for itself only over a batch: run on every update's
+single sentence it made training about 30% slower. Both add the feature
+weights in the order ``_features`` lists them and break ties toward the
+earliest tag in ``tags``, which lists "O" first.
 
 ``train`` updates on the sentences ``selftrain.visit_order`` lists and reads
 no other entry of its dataset, so the self-training loop pseudo-labels only
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -45,17 +52,37 @@ def word_shape(word: str) -> str:
     return "".join(out)
 
 
-def _features(words: Sequence[str], i: int, prev_tag: str) -> list[str]:
-    w = words[i]
-    lower = w.lower()
-    return [
-        _BIAS,
+@lru_cache(maxsize=8192)
+def _word_names(word: str) -> tuple[str, str, str, str, str, str]:
+    """The feature names ``word`` contributes, whatever the weights: its own
+    ``w=``, ``shape=``, ``pre=`` and ``suf=``, then the ``prev=`` and
+    ``next=`` names it gives the words after and before it. An entry is
+    about 0.5 kB, so a full memo holds about 4 MB."""
+    lower = word.lower()
+    return (
         f"w={lower}",
-        f"shape={word_shape(w)}",
+        f"shape={word_shape(word)}",
         f"pre={lower[:3]}",
         f"suf={lower[-3:]}",
-        f"prev={words[i - 1].lower() if i > 0 else START}",
-        f"next={words[i + 1].lower() if i + 1 < len(words) else END}",
+        f"prev={lower}",
+        f"next={lower}",
+    )
+
+
+_PREV_START = f"prev={START}"
+_NEXT_END = f"next={END}"
+
+
+def _features(words: Sequence[str], i: int, prev_tag: str) -> list[str]:
+    w, shape, pre, suf, _, _ = _word_names(words[i])
+    return [
+        _BIAS,
+        w,
+        shape,
+        pre,
+        suf,
+        _word_names(words[i - 1])[4] if i > 0 else _PREV_START,
+        _word_names(words[i + 1])[5] if i + 1 < len(words) else _NEXT_END,
         f"ptag={prev_tag}",
     ]
 
@@ -65,6 +92,13 @@ def _legal(prev_tag: str, tag: str) -> bool:
         etype = tag[2:]
         return prev_tag in (f"B-{etype}", f"I-{etype}")
     return True
+
+
+@lru_cache(maxsize=16)
+def _successors(tags: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
+    """For each previous tag (``START`` included), the tags that may follow
+    it, in ``tags`` order."""
+    return {prev: tuple(t for t in tags if _legal(prev, t)) for prev in (START, *tags)}
 
 
 class AveragedPerceptronTagger:
@@ -146,22 +180,20 @@ class AveragedPerceptronTagger:
     def _decode(self, words: Sequence[str]) -> list[str]:
         """Greedy decode of one sentence with the live (unaveraged) weights,
         for a training update; see the module docstring for why it does not
-        compile them."""
+        compile them. Each token's feature rows are looked up once, and each
+        legal tag's score adds them in ``_features`` order."""
         table = self.weights
+        successors = _successors(tuple(self.tags))
         tags = []
         prev = START
         for i in range(len(words)):
-            feats = _features(words, i, prev)
+            rows = [r for r in map(table.get, _features(words, i, prev)) if r]
             best_tag = None
             best_score = None
-            for tag in self.tags:
-                if not _legal(prev, tag):
-                    continue
+            for tag in successors[prev]:
                 score = 0.0
-                for feat in feats:
-                    row = table.get(feat)
-                    if row:
-                        score += row.get(tag, 0.0)
+                for row in rows:
+                    score += row.get(tag, 0.0)
                 if best_score is None or score > best_score:
                     best_tag, best_score = tag, score
             tags.append(best_tag)
@@ -182,7 +214,8 @@ class AveragedPerceptronTagger:
         ``_features`` lists them, so every score is bit-equal to summing the
         feature rows one by one. The highest-scoring legal tag wins and ties
         go to the earliest in ``self.tags``, so "O" wins every tie it is in.
-        Nothing compiled outlives the call.
+        The words' feature names come from the ``_word_names`` memo, which
+        outlives the call; the weight rows compiled here do not.
         """
         tags = self.tags
         avg = self._averaged()
@@ -197,16 +230,11 @@ class AveragedPerceptronTagger:
         prevs: dict[str, tuple[float, ...]] = {}
         nexts: dict[str, tuple[float, ...]] = {}
         for word in dict.fromkeys(chain.from_iterable(sentences)):
-            lower = word.lower()
-            parts = (
-                row(f"w={lower}"),
-                row(f"shape={word_shape(word)}"),
-                row(f"pre={lower[:3]}"),
-                row(f"suf={lower[-3:]}"),
-            )
+            *lex_names, prev_name, next_name = _word_names(word)
+            parts = map(row, lex_names)
             lexes[word] = tuple(b + w + s + p + x for b, w, s, p, x in zip(bias, *parts))
-            prevs[word] = row(f"prev={lower}")
-            nexts[word] = row(f"next={lower}")
+            prevs[word] = row(prev_name)
+            nexts[word] = row(next_name)
         # An illegal tag scores -inf, so it never beats the legal "O" or B-*.
         ptags = {
             prev: [
@@ -215,8 +243,8 @@ class AveragedPerceptronTagger:
             ]
             for prev in [START, *tags]
         }
-        start_row = row(f"prev={START}")
-        end_row = row(f"next={END}")
+        start_row = row(_PREV_START)
+        end_row = row(_NEXT_END)
         out = []
         for words in sentences:
             seq = []

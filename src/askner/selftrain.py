@@ -19,11 +19,12 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Callable, Protocol, Sequence
 
 from .annotator import LabeledSentence
 from .errors import ConfigError, InternalInvariantError
-from .metrics import EntitySet, EvalReport, entity_f1
+from .metrics import EntitySet, EvalReport, entity_f1, extract_entities
 
 #: Reference step schedules (t_begin, t_update) tuned per benchmark family.
 SCHEDULE_PRESETS: dict[str, tuple[int, int]] = {
@@ -51,6 +52,13 @@ def visit_order(n: int, steps: int, seed: int) -> list[int]:
     Raises ``ValueError`` for negative ``steps``, or for ``steps > 0`` on an
     empty dataset, which has nothing to visit.
     """
+    return list(_visit_order(n, steps, seed))
+
+
+# One entry: a round asks for its walk to pick the sentences to relabel,
+# then the student's ``train`` asks for the same walk.
+@lru_cache(maxsize=1)
+def _visit_order(n: int, steps: int, seed: int) -> tuple[int, ...]:
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not n and steps > 0:
@@ -59,8 +67,7 @@ def visit_order(n: int, steps: int, seed: int) -> list[int]:
     order: list[int] = []
     while len(order) < steps:
         order += rng.sample(range(n), n)
-    del order[steps:]
-    return order
+    return tuple(order[:steps])
 
 
 class TaggerInterface(Protocol):
@@ -145,21 +152,20 @@ def expected_rounds(config: SelfTrainConfig) -> int:
 
 
 def _evaluate(
-    tagger: TaggerInterface, validation: Sequence[LabeledSentence]
+    tagger: TaggerInterface, validation: Sequence[LabeledSentence], gold: EntitySet
 ) -> EvalReport:
-    tokens = [s.tokens for s in validation]
-    predicted = tagger.predict(tokens)
-    pred_sentences = []
+    """Score ``tagger`` on ``validation``, whose entities are ``gold``."""
+    predicted = tagger.predict([s.tokens for s in validation])
+    entities = []
     for sent, tags in zip(validation, predicted):
         if len(tags) != len(sent.tokens):
             raise InternalInvariantError(
                 f"tagger returned {len(tags)} tags for {len(sent.tokens)} tokens "
                 f"in {sent.sentence_id}"
             )
-        pred_sentences.append(LabeledSentence(sent.sentence_id, sent.tokens, tuple(tags)))
-    return entity_f1(
-        EntitySet.from_sentences(validation), EntitySet.from_sentences(pred_sentences)
-    )
+        sid = sent.sentence_id
+        entities += [(sid, start, end, etype) for start, end, etype in extract_entities(tags)]
+    return entity_f1(gold, entities)
 
 
 def run_self_training(
@@ -186,13 +192,14 @@ def run_self_training(
     if not unlabeled:
         raise ConfigError("no unlabeled sentences to relabel")
 
+    gold = EntitySet.from_sentences(validation)
     teacher = tagger_factory()
     try:
         teacher.train(generated, config.t_begin, config.seed)
     except Exception as e:
         e.args = (f"teacher warmup failed: {e}",)
         raise
-    teacher_report = _evaluate(teacher, validation)
+    teacher_report = _evaluate(teacher, validation, gold)
 
     rounds: list[RoundRecord] = []
     reports: list[EvalReport] = []
@@ -218,7 +225,7 @@ def run_self_training(
             e.args = (f"student training failed in round {round_no}: {e}",)
             raise
         done += steps
-        report = _evaluate(student, validation)
+        report = _evaluate(student, validation, gold)
         state = student.snapshot()
         if best is None or report.f1 > best.f1:
             best = Checkpoint(state=state, step=done, f1=report.f1)

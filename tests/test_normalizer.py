@@ -183,10 +183,32 @@ def test_abbreviation_first_char_must_start_a_word():
 
 
 def test_abbreviation_length_bounds():
-    # candidate longer than token_count + 5 is rejected
-    assert detect_abbreviation("Beta Factor", "Beta Factor (BetaFact) rose.") is None
+    # ten characters is the maximum, whatever the long form's word count
+    text = "Polymerase Chain (PolymChain) rose."
+    assert detect_abbreviation("Polymerase Chain", text) == "PolymChain"
+    text = "Polymerase Chain (PolymeChain) rose."
+    assert detect_abbreviation("Polymerase Chain", text) is None
     # two chars is the minimum
     assert detect_abbreviation("Xylem Zone", "Xylem Zone (X) shrank.") is None
+
+
+def test_abbreviation_starts_with_a_letter_or_digit():
+    assert detect_abbreviation("Xenon Fever", "Xenon Fever (-XF) spread.") is None
+    assert detect_abbreviation("Xenon Fever", "Xenon Fever (X-F) spread.") == "X-F"
+    assert detect_abbreviation("3 Mines", "3 Mines (3M) grew.") == "3M"
+
+
+def test_abbreviation_long_form_word_bound():
+    # at most min(n + 5, 2n) words: 2n binds for n = 2 ...
+    four = "Alpha Beta Gamma Delta"
+    assert detect_abbreviation(four, four + " (AD) met.") == "AD"
+    five = "Alpha Beta Gamma Delta Epsilon"
+    assert detect_abbreviation(five, five + " (AE) met.") is None
+    # ... and n + 5 binds for n = 6
+    eleven = "Alpha and Bravo and Charlie and Delta and Echo and Foxtrot"
+    assert detect_abbreviation(eleven, eleven + " (ABCDEF) met.") == "ABCDEF"
+    twelve = "the " + eleven
+    assert detect_abbreviation(twelve, twelve + " (ABCDEF) met.") is None
 
 
 def test_abbreviation_at_most_two_tokens():

@@ -3,6 +3,7 @@ import random
 
 from askner.metrics import extract_entities
 from askner.perceptron import (
+    END,
     START,
     AveragedPerceptronTagger,
     _features,
@@ -230,6 +231,39 @@ def test_predict_matches_reference_decoder_on_random_models():
         batch = [_random_sentence(rng) for _ in range(rng.randint(1, 6))] + [[], VOCAB]
         assert tagger.predict(batch) == _reference_predict(tagger, batch), seed
         assert tagger.predict([]) == []
+
+
+def test_training_decode_matches_reference_decoder_on_random_models():
+    for seed in range(240):
+        rng = random.Random(seed)
+        tagger = _random_model(rng)
+        for words in [_random_sentence(rng) for _ in range(4)] + [[], VOCAB]:
+            expected = _reference_decode(tagger, tagger.weights, words)
+            assert tagger._decode(words) == expected, seed
+
+
+def _reference_features(words, i, prev_tag):
+    """The feature names ``_features`` built before it read them from the
+    per-word memo."""
+    w = words[i]
+    lower = w.lower()
+    return [
+        "b",
+        f"w={lower}",
+        f"shape={word_shape(w)}",
+        f"pre={lower[:3]}",
+        f"suf={lower[-3:]}",
+        f"prev={words[i - 1].lower() if i > 0 else START}",
+        f"next={words[i + 1].lower() if i + 1 < len(words) else END}",
+        f"ptag={prev_tag}",
+    ]
+
+
+def test_features_match_reference_names():
+    for words in (VOCAB, VOCAB[::-1], ["ß"], [""], ["<s>", "</s>"]):
+        for i in range(len(words)):
+            for prev in (START, "O", "B-LOC", "I-city"):
+                assert _features(words, i, prev) == _reference_features(words, i, prev)
 
 
 def test_untrained_tagger_breaks_every_tie_toward_o():

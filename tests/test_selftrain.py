@@ -4,7 +4,9 @@ import threading
 
 import pytest
 
-from askner.errors import ConfigError
+from askner.annotator import LabeledSentence
+from askner.errors import ConfigError, InternalInvariantError
+from askner.metrics import EntitySet, entity_f1
 from askner.perceptron import AveragedPerceptronTagger
 from askner.selftrain import (
     SCHEDULE_PRESETS,
@@ -12,7 +14,6 @@ from askner.selftrain import (
     RoundRecord,
     SelfTrainConfig,
     SelfTrainResult,
-    _evaluate,
     expected_rounds,
     run_self_training,
     visit_order,
@@ -116,6 +117,17 @@ def test_inputs_are_validated():
         run_self_training(generated, [], validation, StubTagger, config)
 
 
+def test_a_tag_count_mismatch_is_an_internal_error():
+    class ShortTagger(StubTagger):
+        def predict(self, sentences):
+            return [tags[:-1] for tags in super().predict(sentences)]
+
+    generated, unlabeled, validation = _data()
+    config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=1)
+    with pytest.raises(InternalInvariantError, match="2 tags for 3 tokens in v1"):
+        run_self_training(generated, unlabeled, validation, ShortTagger, config)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SelfTrainConfig(t_begin=0, t_update=1, max_iterations=1)
@@ -168,6 +180,17 @@ def _inline_walk(n, steps, seed):
 def test_visit_order_matches_the_inline_walk(n, steps):
     for seed in (0, 1, 17, 12345):
         assert visit_order(n, steps, seed) == _inline_walk(n, steps, seed)
+
+
+def test_visit_order_returns_a_fresh_list_each_call():
+    first = visit_order(5, 12, 3)
+    expected = list(first)
+    first.reverse()
+    first.append(99)
+    second = visit_order(5, 12, 3)
+    assert second == expected
+    second.clear()
+    assert visit_order(5, 12, 3) == expected
 
 
 def test_visit_order_rejects_empty_data_without_looping():
@@ -243,12 +266,30 @@ def _case(name, seed):
     return generated, unlabeled, validation, config
 
 
+def _reference_evaluate(tagger, validation):
+    """``selftrain._evaluate`` as it was before it reused the gold entities:
+    both sides rebuilt from labeled sentences every call."""
+    tokens = [s.tokens for s in validation]
+    predicted = tagger.predict(tokens)
+    pred_sentences = []
+    for sent, tags in zip(validation, predicted):
+        if len(tags) != len(sent.tokens):
+            raise InternalInvariantError(
+                f"tagger returned {len(tags)} tags for {len(sent.tokens)} tokens "
+                f"in {sent.sentence_id}"
+            )
+        pred_sentences.append(LabeledSentence(sent.sentence_id, sent.tokens, tuple(tags)))
+    return entity_f1(
+        EntitySet.from_sentences(validation), EntitySet.from_sentences(pred_sentences)
+    )
+
+
 def _relabel_everything(generated, unlabeled, validation, config):
     """Reference loop: the teacher relabels the whole pool every round and
     each student starts from a fresh teacher snapshot."""
     teacher = AveragedPerceptronTagger()
     teacher.train(generated, config.t_begin, config.seed)
-    teacher_report = _evaluate(teacher, validation)
+    teacher_report = _reference_evaluate(teacher, validation)
     rounds, reports = [], []
     best, best_round, done, round_no = None, 0, 0, 0
     while done < config.max_iterations:
@@ -262,7 +303,7 @@ def _relabel_everything(generated, unlabeled, validation, config):
         student.restore(teacher.snapshot())
         student.train(pseudo, steps, config.seed + round_no)
         done += steps
-        report = _evaluate(student, validation)
+        report = _reference_evaluate(student, validation)
         state = student.snapshot()
         if best is None or report.f1 > best.f1:
             best, best_round = Checkpoint(state=state, step=done, f1=report.f1), round_no
