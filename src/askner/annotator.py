@@ -26,7 +26,6 @@ from .retrieval import CorpusSentence
 @dataclass
 class DictEntry:
     key: str
-    display: str                      # first-seen original casing
     counts: dict[str, int] = field(default_factory=dict)  # output type -> count
 
     @property
@@ -64,7 +63,7 @@ def build_dictionary(
             raise InternalInvariantError(f"normalized phrase collapses to empty key: {np!r}")
         entry = entries.get(key)
         if entry is None:
-            entry = entries[key] = DictEntry(key=key, display=np.surface)
+            entry = entries[key] = DictEntry(key=key)
         entry.counts[np.type_label] = entry.counts.get(np.type_label, 0) + 1
         if np.abbreviation:
             short = surface_key(np.abbreviation)

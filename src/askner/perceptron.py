@@ -11,11 +11,12 @@ weights, so ``_word_names`` builds them once per word and keeps them in a
 bounded memo that outlives every call. Training decodes each update's one
 sentence from the live weights: it looks each feature row up once per token
 and sums the rows tag by tag, over the tags that may follow the previous one.
-``predict`` compiles the averaged weights once per call into per-word score
-tuples. The compile pays for itself only over a batch: run on every update's
-single sentence it made training about 30% slower. Both add the feature
-weights in the order ``_features`` lists them and break ties toward the
-earliest tag in ``tags``, which lists "O" first.
+``predict`` averages only the feature rows its batch reads, once per call,
+into per-word score tuples, so its cost follows the batch, not the model. The
+compile pays for itself only over a batch: run on every update's single
+sentence it made training about 30% slower. Both add the feature weights in
+the order ``_features`` lists them and break ties toward the earliest tag in
+``tags``, which lists "O" first.
 
 ``train`` updates on the sentences ``selftrain.visit_order`` lists and reads
 no other entry of its dataset, so the self-training loop pseudo-labels only
@@ -108,8 +109,9 @@ class AveragedPerceptronTagger:
     def __init__(self):
         self.tags: list[str] = ["O"]
         self.weights: dict[str, dict[str, float]] = {}
-        self._totals: dict[tuple[str, str], float] = {}
-        self._stamps: dict[tuple[str, str], int] = {}
+        # (feat, tag) -> (total, stamp): the weight summed over every tick up
+        # to ``stamp``, the tick at which ``_bump`` last changed it.
+        self._acc: dict[tuple[str, str], tuple[float, int]] = {}
         self._ticks = 0
 
     # -- training ---------------------------------------------------------
@@ -156,26 +158,11 @@ class AveragedPerceptronTagger:
         row = self.weights.setdefault(feat, {})
         old = row.get(tag, 0.0)
         key = (feat, tag)
-        self._totals[key] = self._totals.get(key, 0.0) + old * (self._ticks - self._stamps.get(key, 0))
-        self._stamps[key] = self._ticks
+        total, stamp = self._acc.get(key, (0.0, 0))
+        self._acc[key] = (total + old * (self._ticks - stamp), self._ticks)
         row[tag] = old + delta
 
     # -- inference --------------------------------------------------------
-
-    def _averaged(self) -> dict[str, dict[str, float]]:
-        if not self._ticks:
-            return {}
-        avg: dict[str, dict[str, float]] = {}
-        for feat, row in self.weights.items():
-            arow = {}
-            for tag, w in row.items():
-                key = (feat, tag)
-                total = self._totals.get(key, 0.0) + w * (self._ticks - self._stamps.get(key, 0))
-                if total:
-                    arow[tag] = total / self._ticks
-            if arow:
-                avg[feat] = arow
-        return avg
 
     def _decode(self, words: Sequence[str]) -> list[str]:
         """Greedy decode of one sentence with the live (unaveraged) weights,
@@ -204,9 +191,10 @@ class AveragedPerceptronTagger:
         """Tag token sequences; output lengths mirror inputs and tags are
         BIO-legal by construction.
 
-        The averaged weights are compiled once per call: each feature row
-        becomes a tuple of floats aligned with ``self.tags``. Each distinct
-        word gets its lexical sum (bias + w + shape + pre + suf) and the
+        Only the feature rows the batch reads are averaged, each into a tuple
+        of floats aligned with ``self.tags``: a weight's total over every tick
+        divided by the tick count, or 0.0 before any tick. Each distinct word
+        gets its lexical sum (bias + w + shape + pre + suf) and the
         ``prev=``/``next=`` rows it gives its neighbours; each previous tag
         (``START`` included) gets its ``ptag=`` row, with -inf on the tags it
         makes illegal. Decoding is greedy, left to right: a tag scores
@@ -217,13 +205,19 @@ class AveragedPerceptronTagger:
         The words' feature names come from the ``_word_names`` memo, which
         outlives the call; the weight rows compiled here do not.
         """
-        tags = self.tags
-        avg = self._averaged()
+        tags, ticks, acc = self.tags, self._ticks, self._acc
         zeros = (0.0,) * len(tags)
 
+        def mean(feat: str, tag: str, w: float) -> float:
+            total, stamp = acc.get((feat, tag), (0.0, 0))
+            total += w * (ticks - stamp)
+            return total / ticks if total else 0.0
+
         def row(feat: str) -> tuple[float, ...]:
-            arow = avg.get(feat)
-            return tuple(arow.get(tag, 0.0) for tag in tags) if arow else zeros
+            wrow = self.weights.get(feat) if ticks else None
+            if not wrow:
+                return zeros
+            return tuple(mean(feat, tag, wrow[tag]) if tag in wrow else 0.0 for tag in tags)
 
         bias = row(_BIAS)
         lexes: dict[str, tuple[float, ...]] = {}
@@ -268,10 +262,10 @@ class AveragedPerceptronTagger:
     def snapshot(self) -> bytes:
         """Canonical JSON, so equal states give equal bytes: ``{"tags",
         "ticks", "params"}``, with one ``[feat, tag, weight, total, stamp]``
-        row per parameter, sorted by (feat, tag). ``_bump`` writes the three
-        maps under the same keys, so one table holds them all."""
+        row per parameter, sorted by (feat, tag). ``_bump`` writes a weight
+        and its accumulator under the same key, so one row holds both."""
         params = [
-            [feat, tag, w, self._totals[feat, tag], self._stamps[feat, tag]]
+            [feat, tag, w, *self._acc[feat, tag]]
             for feat, row in sorted(self.weights.items())
             for tag, w in sorted(row.items())
         ]
@@ -282,8 +276,7 @@ class AveragedPerceptronTagger:
         obj = json.loads(state)
         self.tags = obj["tags"]
         self._ticks = obj["ticks"]
-        self.weights, self._totals, self._stamps = {}, {}, {}
+        self.weights, self._acc = {}, {}
         for feat, tag, w, total, stamp in obj["params"]:
             self.weights.setdefault(feat, {})[tag] = w
-            self._totals[feat, tag] = total
-            self._stamps[feat, tag] = stamp
+            self._acc[feat, tag] = (total, stamp)

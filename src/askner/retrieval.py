@@ -287,23 +287,19 @@ def check_evidence(p: RetrievedPhrase, sent: CorpusSentence | None, where: str) 
 
 
 def ingest_results(
-    lines: Iterable[str],
-    corpus: Mapping[str, CorpusSentence] | None = None,
-    source: str = "<results>",
+    lines: Iterable[str], source: str = "<results>"
 ) -> dict[str, list[RetrievedPhrase]]:
     """Parse and validate a results stream, grouped per question, rank-sorted.
 
-    With a corpus, sentence ids must resolve and each phrase must equal its
-    evidence-sentence slice; without one, only record-level checks run.
-    Scores must be non-increasing with rank within every question.
+    Only record-level checks run; ``check_evidence`` checks a hit against
+    its sentence. Scores must be non-increasing with rank within every
+    question.
     """
-    return _rank_sorted(jsonl_records(lines, source), corpus)
+    return _rank_sorted(jsonl_records(lines, source))
 
 
 def _rank_sorted(
-    records: Iterable[tuple[object, str]],
-    corpus: Mapping[str, CorpusSentence] | None = None,
-    question_id: str | None = None,
+    records: Iterable[tuple[object, str]], question_id: str | None = None
 ) -> dict[str, list[RetrievedPhrase]]:
     """Validate (record, where) pairs into hits grouped per question and
     sorted by rank, raising DataError in stream order. ``question_id``, if
@@ -313,8 +309,6 @@ def _rank_sorted(
         if question_id is not None and isinstance(obj, dict):
             obj = dict(obj, question_id=question_id)
         p = _phrase_from_record(obj, where)
-        if corpus is not None:
-            check_evidence(p, corpus.get(p.sentence_id), where)
         per_q = groups.setdefault(p.question_id, {})
         if p.rank in per_q:
             raise DataError(
@@ -338,8 +332,16 @@ def _rank_sorted(
 def read_results(
     path: str | Path, corpus: Mapping[str, CorpusSentence] | None = None
 ) -> dict[str, list[RetrievedPhrase]]:
+    """``ingest_results`` on a file. With a corpus, every hit is then checked
+    against the sentence it names, in results order, and named as
+    "<path> (<question id> rank <rank>)"."""
     with open(path, encoding="utf-8") as fh:
-        return ingest_results(fh, corpus, source=str(path))
+        groups = ingest_results(fh, source=str(path))
+    for phrases in groups.values() if corpus is not None else ():
+        for p in phrases:
+            where = f"{path} ({p.question_id} rank {p.rank})"
+            check_evidence(p, corpus.get(p.sentence_id), where)
+    return groups
 
 
 def serialize_results(groups: Mapping[str, Sequence[RetrievedPhrase]]) -> str:

@@ -142,7 +142,7 @@ def test_2_matcher_equals_brute_force_scan():
             for _ in range(rng.randint(1, 20))
         }
         dictionary = PseudoDictionary(
-            entries={k: DictEntry(key=k, display=k, counts={"t": 1}) for k in keys}
+            entries={k: DictEntry(key=k, counts={"t": 1}) for k in keys}
         )
         tokens = [
             _random_casing(rng, rng.choice(_WORDS))
@@ -173,7 +173,7 @@ def _occurrences(key: str, n: int) -> list[MatchSpan]:
 def test_3_apportionment_exact_and_conserving():
     started = time.perf_counter()
 
-    entry = DictEntry("washington", "Washington", {"location": 3, "person": 7})
+    entry = DictEntry("washington", {"location": 3, "person": 7})
     assigned = apportion_types(entry, _occurrences("washington", 10))
     assert Counter(m.assigned_type for m in assigned) == {"person": 7, "location": 3}
 
@@ -181,7 +181,7 @@ def test_3_apportionment_exact_and_conserving():
     for _ in range(APPORTIONMENT_TRIALS):
         n_types = rng.randint(1, 6)
         counts = {f"type{i}": rng.randint(1, 40) for i in range(n_types)}
-        entry = DictEntry("k", "k", counts)
+        entry = DictEntry("k", counts)
         n = rng.randint(0, 50)
         assigned = apportion_types(entry, _occurrences("k", n))
         assert len(assigned) == n  # every occurrence assigned exactly once

@@ -33,7 +33,6 @@ def np(surface, type_label="city", abbreviation=None):
 def test_build_dictionary_pools_counts_case_insensitively():
     d = build_dictionary([np("Paris"), np("paris"), np("PARIS", type_label="person")])
     entry = d.entries["paris"]
-    assert entry.display == "Paris"          # first seen casing
     assert entry.counts == {"city": 2, "person": 1}
     assert entry.total == 3
 
@@ -210,8 +209,7 @@ def _occurrences(n, key="washington"):
 
 
 def test_apportionment_exact_proportions():
-    entry = DictEntry(key="washington", display="Washington",
-                      counts={"location": 3, "person": 7})
+    entry = DictEntry(key="washington", counts={"location": 3, "person": 7})
     out = apportion_types(entry, _occurrences(10))
     assigned = [o.assigned_type for o in out]
     assert assigned.count("location") == 3
@@ -226,8 +224,7 @@ def test_apportionment_exact_proportions():
 
 
 def test_apportionment_largest_remainder_tie_prefers_larger_count():
-    entry = DictEntry(key="washington", display="Washington",
-                      counts={"location": 3, "person": 7})
+    entry = DictEntry(key="washington", counts={"location": 3, "person": 7})
     out = apportion_types(entry, _occurrences(5))
     assigned = [o.assigned_type for o in out]
     # quotas 1.5 / 3.5 -> floors 1 / 3; the leftover seat goes to person
@@ -236,7 +233,7 @@ def test_apportionment_largest_remainder_tie_prefers_larger_count():
 
 
 def test_apportionment_remainder_tie_breaks_lexicographically():
-    entry = DictEntry(key="k", display="k", counts={"alpha": 1, "beta": 1})
+    entry = DictEntry(key="k", counts={"alpha": 1, "beta": 1})
     out = apportion_types(entry, _occurrences(3, key="k"))
     assigned = [o.assigned_type for o in out]
     # quotas 1.5 each; equal counts, so "alpha" wins the leftover seat
@@ -250,7 +247,7 @@ def test_apportionment_conserves_and_stays_within_one_of_quota():
     rng = random.Random(5)
     for _ in range(50):
         counts = {f"t{i}": rng.randint(1, 40) for i in range(rng.randint(1, 6))}
-        entry = DictEntry(key="k", display="k", counts=counts)
+        entry = DictEntry(key="k", counts=counts)
         n = rng.randint(0, 30)
         out = apportion_types(entry, _occurrences(n, key="k"))
         assert len(out) == n
@@ -261,10 +258,10 @@ def test_apportionment_conserves_and_stays_within_one_of_quota():
 
 
 def test_apportionment_validates_inputs():
-    entry = DictEntry(key="k", display="k", counts={"a": 0})
+    entry = DictEntry(key="k", counts={"a": 0})
     with pytest.raises(ValueError):
         apportion_types(entry, [])
-    entry = DictEntry(key="k", display="k", counts={"a": 1})
+    entry = DictEntry(key="k", counts={"a": 1})
     with pytest.raises(ValueError, match="key"):
         apportion_types(entry, _occurrences(1, key="other"))
 

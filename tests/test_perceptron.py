@@ -38,6 +38,10 @@ def test_untrained_tagger_predicts_all_o():
     tagger = AveragedPerceptronTagger()
     out = tagger.predict([["Oslo", "froze"], ["Anna"]])
     assert out == [["O", "O"], ["O"]]
+    # Weights but no ticks average to zero, not to a division by zero.
+    state = {"tags": ["O", "B-LOC"], "ticks": 0, "params": [["w=oslo", "B-LOC", 1.0, 2.0, 0]]}
+    tagger.restore(json.dumps(state).encode())
+    assert tagger.predict([["Oslo", "froze"], ["Anna"]]) == out
 
 
 def test_training_fits_the_training_set():
@@ -90,14 +94,11 @@ def test_equal_states_give_equal_bytes():
     blob = a.snapshot()
     b = AveragedPerceptronTagger()
     b.restore(blob)
-    # Rebuild each map from its own JSON text, so the maps share no string
+    # Rebuild both maps from their own JSON text, so they share no string
     # objects, as they do after training.
-    def rebuilt(pairs):
-        rows = json.loads(json.dumps([[*key, v] for key, v in pairs.items()]))
-        return {(f, t): v for f, t, v in rows}
-
+    rows = json.loads(json.dumps([[*key, *acc] for key, acc in b._acc.items()]))
     b.weights = json.loads(json.dumps(b.weights))
-    b._totals, b._stamps = rebuilt(b._totals), rebuilt(b._stamps)
+    b._acc = {(f, t): (total, stamp) for f, t, total, stamp in rows}
     assert b.snapshot() == blob
 
     empty = AveragedPerceptronTagger().snapshot()
@@ -168,8 +169,27 @@ def _reference_decode(tagger, table, words):
     return tags
 
 
+def _ref_averaged(self):
+    """The whole averaged model, as ``predict`` built it on every call before
+    it averaged only the rows its batch reads."""
+    if not self._ticks:
+        return {}
+    avg: dict[str, dict[str, float]] = {}
+    for feat, row in self.weights.items():
+        arow = {}
+        for tag, w in row.items():
+            key = (feat, tag)
+            total, stamp = self._acc.get(key, (0.0, 0))
+            total += w * (self._ticks - stamp)
+            if total:
+                arow[tag] = total / self._ticks
+        if arow:
+            avg[feat] = arow
+    return avg
+
+
 def _reference_predict(tagger, sentences):
-    table = tagger._averaged()
+    table = _ref_averaged(tagger)
     return [_reference_decode(tagger, table, words) for words in sentences]
 
 

@@ -14,6 +14,7 @@ from askner.retrieval import (
     RetrievedPhrase,
     _check_record,
     _phrase_from_record,
+    check_evidence,
     collect_training_sentences,
     fetch_remote,
     ingest_results,
@@ -366,22 +367,30 @@ def test_ingest_groups_and_sorts():
     assert groups["b"] == [b1]
 
 
-def test_ingest_validates_against_corpus():
-    corpus = {"s1": sent("s1", "Leprosy is chronic")}
+def test_ingest_validates_against_corpus(tmp_path):
+    s1 = sent("s1", "Leprosy is chronic")
     ok = phrase(qid="a", rank=1, surface="Leprosy", sid="s1", start=0)
-    assert ingest_results(_lines(ok), corpus)["a"] == [ok]
+    check_evidence(ok, s1, "<hit>")
 
     bad_slice = phrase(qid="a", rank=1, surface="Leprosy", sid="s1", start=1, end=8)
     with pytest.raises(DataError, match="slice"):
-        ingest_results(_lines(bad_slice), corpus)
+        check_evidence(bad_slice, s1, "<hit>")
 
     unknown = phrase(qid="a", rank=1, sid="nope")
     with pytest.raises(DataError, match="unknown sentence_id"):
-        ingest_results(_lines(unknown), corpus)
+        check_evidence(unknown, None, "<hit>")
 
     out_of_bounds = phrase(qid="a", rank=1, surface="x", sid="s1", start=100, end=101)
     with pytest.raises(DataError, match="bounds"):
-        ingest_results(_lines(out_of_bounds), corpus)
+        check_evidence(out_of_bounds, s1, "<hit>")
+
+    # read_results checks each hit against a corpus it is given, after the
+    # record checks.
+    path = tmp_path / "results.jsonl"
+    path.write_text("\n".join(_lines(ok, phrase(qid="b", rank=1, sid="nope"))), encoding="utf-8")
+    assert read_results(path)["a"] == [ok]
+    with pytest.raises(DataError, match=re.escape(f"{path} (b rank 1): unknown sentence_id")):
+        read_results(path, {"s1": s1})
 
 
 def test_ingest_rejects_duplicate_rank_with_line_number():
