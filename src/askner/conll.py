@@ -3,7 +3,9 @@
 Sentences are separated by one blank line and the file ends with a newline.
 The format carries no sentence ids, so the reader synthesizes positional
 ones (s000001, ...), which keeps gold/prediction files alignable by
-position.
+position. Every tag must be one ``metrics.extract_entities`` reads (``O``,
+``B-type`` or ``I-type``), so a bad tag is reported with its file and line
+when read, not later by the scorer.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Iterable
 
 from .annotator import LabeledSentence
 from .errors import DataError
+from .metrics import extract_entities
 
 
 def format_conll(sentences: Iterable[LabeledSentence]) -> str:
@@ -42,6 +45,7 @@ def parse_conll(text: str, source: str = "<conll>") -> list[LabeledSentence]:
             tokens.clear()
             tags.clear()
 
+    known: set[str] = set()  # tags already checked
     for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             flush()
@@ -54,6 +58,12 @@ def parse_conll(text: str, source: str = "<conll>") -> list[LabeledSentence]:
         token, tag = parts
         if not tag.strip():
             raise DataError(f"{source}:{lineno}: empty tag")
+        if tag not in known:
+            try:
+                extract_entities((tag,))
+            except DataError:
+                raise DataError(f"{source}:{lineno}: unparseable tag {tag!r}") from None
+            known.add(tag)
         tokens.append(token)
         tags.append(tag)
     flush()

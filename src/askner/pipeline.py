@@ -161,7 +161,10 @@ def _dump_json(doc: Mapping) -> str:
 
 
 def _available_cpus() -> int:
-    """CPUs this process may run on: the width of the remote fetch pool."""
+    """CPUs this process may run on. It is the width of the remote fetch
+    pool, and ``selftrain`` scores validation in a worker process only when
+    it is above 1: on one CPU the worker would compete with training and
+    add a restore and a pipe transfer per round, so scoring runs inline."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -507,12 +510,17 @@ def cmd_selftrain(
         "selftrain: t_begin=%d t_update=%d max_iterations=%d seed=%d",
         schedule.t_begin, schedule.t_update, schedule.max_iterations, schedule.seed,
     )
+    import multiprocessing  # here, so that commands which never fork do not import it
+
     result = run_self_training(
         generated=dataset,
         unlabeled=unlabeled,
         validation=validation,
         tagger_factory=AveragedPerceptronTagger,
         config=schedule,
+        score_in_worker=(
+            _available_cpus() > 1 and "fork" in multiprocessing.get_all_start_methods()
+        ),
     )
     for record in result.rounds:
         log.info(

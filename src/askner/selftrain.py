@@ -11,6 +11,17 @@ A student reads only the sentences its seeded walk (``visit_order``) visits,
 so the teacher labels only those, in one ``predict`` batch: a round costs
 about ``t_update`` decodes, not the pool's size. Each label is the one a
 full relabel would give it, so every output is the same.
+
+Each state the loop snapshots, the teacher's and then each student's, is
+scored on validation, and the report is collected one round later, once the
+next student has trained. Validation runs in one of two places. With
+``score_in_worker`` a worker process, forked when the run starts, restores
+each snapshot and scores it while the parent relabels and trains the next
+round, so a second CPU takes the scoring off the training path. Otherwise
+``_evaluate`` runs inline on the live tagger: on one CPU the worker only
+competes with training and adds a restore and a pipe transfer per round.
+Both give the same reports, because the worker scores exactly the
+checkpoint bytes and ``restore`` round-trips exactly.
 """
 
 from __future__ import annotations
@@ -168,12 +179,152 @@ def _evaluate(
     return entity_f1(gold, entities)
 
 
+class _InlineScorer:
+    """Scores the live tagger in this process when its state is submitted."""
+
+    def __init__(self, validation: Sequence[LabeledSentence], gold: EntitySet):
+        self._validation = validation
+        self._gold = gold
+        self._report: EvalReport | None = None
+
+    def submit(self, tagger: TaggerInterface, state: bytes) -> None:
+        self._report = _evaluate(tagger, self._validation, self._gold)
+
+    def collect(self) -> EvalReport:
+        return self._report
+
+    def close(self) -> None:
+        pass
+
+
+class _ForkedScorer:
+    """Scores submitted states in one forked worker process, one at a time.
+
+    ``submit`` sends the state's bytes over a pipe and returns; ``collect``
+    waits for that state's report and raises what scoring raised. A worker
+    that dies becomes an ``InternalInvariantError``, never a hang: the wait
+    also watches the process's sentinel. ``fork`` hands the worker the
+    tagger factory and the validation data without pickling them.
+    """
+
+    def __init__(
+        self,
+        tagger_factory: Callable[[], TaggerInterface],
+        validation: Sequence[LabeledSentence],
+        gold: EntitySet,
+    ):
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self._conn, child = context.Pipe()
+        self._process = context.Process(
+            target=_score_states,
+            args=(child, self._conn, tagger_factory, validation, gold),
+            name="askner-validation-scorer",
+            daemon=True,
+        )
+        self._process.start()
+        child.close()
+        self._busy = False
+
+    def submit(self, tagger: TaggerInterface, state: bytes) -> None:
+        try:
+            self._conn.send_bytes(state)
+        except OSError as e:
+            raise self._lost() from e
+        self._busy = True
+
+    def collect(self) -> EvalReport:
+        import pickle
+        from multiprocessing.connection import wait
+
+        wait([self._conn, self._process.sentinel])
+        try:
+            if not self._conn.poll():
+                raise EOFError
+            ok, value = pickle.loads(self._conn.recv_bytes())
+        except (EOFError, OSError) as e:
+            raise self._lost() from e
+        self._busy = False
+        if not ok:
+            raise value
+        return value
+
+    def _lost(self) -> InternalInvariantError:
+        self._process.join()
+        return InternalInvariantError(
+            f"validation scorer process exited with code {self._process.exitcode}"
+        )
+
+    def close(self) -> None:
+        """Stop the worker and wait for it to exit. A report still being
+        computed is abandoned: the worker is terminated, not waited for."""
+        if self._busy:
+            self._process.terminate()
+        else:
+            try:
+                self._conn.send_bytes(b"")
+            except OSError:
+                pass  # the worker is already gone
+        self._conn.close()
+        self._process.join()
+        self._process.close()
+
+
+def _score_states(
+    conn,
+    parent_end,
+    tagger_factory: Callable[[], TaggerInterface],
+    validation: Sequence[LabeledSentence],
+    gold: EntitySet,
+) -> None:
+    """The scorer process: restore each state the parent sends into a fresh
+    tagger, score it and send back ``(True, report)`` or ``(False,
+    exception)``, pickled. An empty message or the parent's end closing
+    stops it."""
+    import pickle
+    import signal
+
+    # An interrupt reaches the whole process group; the parent handles it
+    # and stops this process.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # fork copied the parent's end too; while open here, a dead parent
+    # would never show as EOF.
+    parent_end.close()
+    while True:
+        try:
+            state = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        if not state:
+            return
+        try:
+            tagger = tagger_factory()
+            tagger.restore(state)
+            result = (True, _evaluate(tagger, validation, gold))
+        except Exception as e:
+            result = (False, e)
+        try:
+            payload = pickle.dumps(result)
+            pickle.loads(payload)
+        except Exception as e:
+            payload = pickle.dumps((False, InternalInvariantError(
+                f"validation scorer cannot send back {result[1]!r}: {e}"
+            )))
+        try:
+            conn.send_bytes(payload)
+        except OSError:
+            return
+
+
 def run_self_training(
     generated: Sequence[LabeledSentence],
     unlabeled: Sequence[Sequence[str]],
     validation: Sequence[LabeledSentence],
     tagger_factory: Callable[[], TaggerInterface],
     config: SelfTrainConfig,
+    *,
+    score_in_worker: bool = False,
 ) -> SelfTrainResult:
     """Run the teacher-student schedule and return the best round's checkpoint.
 
@@ -182,8 +333,17 @@ def run_self_training(
     teacher relabels only the distinct sentences the student's
     ``visit_order`` walk visits; the others stay ``None`` in the student's
     dataset. The best checkpoint is chosen by validation F1 with earlier
-    rounds winning ties; only it is kept, so memory does not grow with the
-    number of rounds.
+    rounds winning ties; only it and the state awaiting its score are kept,
+    so memory does not grow with the number of rounds.
+
+    Validation runs inline on the live tagger by default. With
+    ``score_in_worker`` (which needs the ``fork`` start method) one worker
+    process, started here and stopped before this returns, scores each
+    round's snapshot while the next round relabels and trains; that pays
+    only with a second CPU. The results are the same either way. Errors are
+    raised in the order a sequential run meets them: if a round fails while
+    an earlier state's score is outstanding, that score is collected first
+    and its failure, if any, is raised instead.
     """
     if not generated:
         raise ConfigError("generated dataset is empty")
@@ -193,42 +353,51 @@ def run_self_training(
         raise ConfigError("no unlabeled sentences to relabel")
 
     gold = EntitySet.from_sentences(validation)
+    if score_in_worker:
+        scorer = _ForkedScorer(tagger_factory, validation, gold)
+    else:
+        scorer = _InlineScorer(validation, gold)
+    try:
+        return _self_train(generated, unlabeled, tagger_factory, config, scorer)
+    finally:
+        scorer.close()
+
+
+def _self_train(
+    generated: Sequence[LabeledSentence],
+    unlabeled: Sequence[Sequence[str]],
+    tagger_factory: Callable[[], TaggerInterface],
+    config: SelfTrainConfig,
+    scorer: _InlineScorer | _ForkedScorer,
+) -> SelfTrainResult:
     teacher = tagger_factory()
     try:
         teacher.train(generated, config.t_begin, config.seed)
     except Exception as e:
         e.args = (f"teacher warmup failed: {e}",)
         raise
-    teacher_report = _evaluate(teacher, validation, gold)
-
+    # The teacher's state; after each round it is the verified student state.
+    state = teacher.snapshot()
+    scorer.submit(teacher, state)
+    # (round, student steps, state) whose report is still to be collected;
+    # round 0 is the warmed-up teacher.
+    outstanding: tuple[int, int, bytes] | None = (0, 0, state)
+    teacher_report: EvalReport | None = None
     rounds: list[RoundRecord] = []
     reports: list[EvalReport] = []
     best: Checkpoint | None = None
     best_round = 0
-    done = 0
-    round_no = 0
-    # The teacher's state; after each round it is the verified student state.
-    state = teacher.snapshot()
-    while done < config.max_iterations:
-        round_no += 1
-        steps = min(config.t_update, config.max_iterations - done)
-        seed = config.seed + round_no
-        picked = dict.fromkeys(visit_order(len(unlabeled), steps, seed))
-        pseudo: list[LabeledSentence | None] = [None] * len(unlabeled)
-        for idx, tags in zip(picked, teacher.predict([unlabeled[i] for i in picked])):
-            pseudo[idx] = LabeledSentence(f"u{idx + 1:06d}", tuple(unlabeled[idx]), tuple(tags))
-        student = tagger_factory()
-        student.restore(state)
-        try:
-            student.train(pseudo, steps, seed)
-        except Exception as e:
-            e.args = (f"student training failed in round {round_no}: {e}",)
-            raise
-        done += steps
-        report = _evaluate(student, validation, gold)
-        state = student.snapshot()
+
+    def collect() -> None:
+        nonlocal outstanding, teacher_report, best, best_round
+        round_no, done, scored = outstanding
+        outstanding = None
+        report = scorer.collect()
+        if not round_no:
+            teacher_report = report
+            return
         if best is None or report.f1 > best.f1:
-            best = Checkpoint(state=state, step=done, f1=report.f1)
+            best = Checkpoint(state=scored, step=done, f1=report.f1)
             best_round = round_no
         rounds.append(
             RoundRecord(
@@ -239,9 +408,42 @@ def run_self_training(
             )
         )
         reports.append(report)
-        teacher.restore(state)
-        if teacher.snapshot() != state:
-            raise InternalInvariantError("teacher state diverged from student snapshot")
+
+    done = 0
+    round_no = 0
+    try:
+        while done < config.max_iterations:
+            round_no += 1
+            steps = min(config.t_update, config.max_iterations - done)
+            seed = config.seed + round_no
+            picked = dict.fromkeys(visit_order(len(unlabeled), steps, seed))
+            pseudo: list[LabeledSentence | None] = [None] * len(unlabeled)
+            for idx, tags in zip(picked, teacher.predict([unlabeled[i] for i in picked])):
+                pseudo[idx] = LabeledSentence(
+                    f"u{idx + 1:06d}", tuple(unlabeled[idx]), tuple(tags)
+                )
+            student = tagger_factory()
+            student.restore(state)
+            try:
+                student.train(pseudo, steps, seed)
+            except Exception as e:
+                e.args = (f"student training failed in round {round_no}: {e}",)
+                raise
+            collect()
+            done += steps
+            state = student.snapshot()
+            scorer.submit(student, state)
+            outstanding = (round_no, done, state)
+            teacher.restore(state)
+            if teacher.snapshot() != state:
+                raise InternalInvariantError("teacher state diverged from student snapshot")
+        collect()
+    except Exception:
+        # A sequential run would have scored the outstanding state before
+        # reaching this failure, so that score's own failure comes first.
+        if outstanding is not None:
+            collect()
+        raise
 
     return SelfTrainResult(
         best=best,

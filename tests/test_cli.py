@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
@@ -291,6 +292,42 @@ def test_outputs_match_pinned_digests(tmp_path):
         for run, name in PINNED_DIGESTS
     }
     assert got == PINNED_DIGESTS
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the scorer is forked"
+)
+def test_selftrain_outputs_do_not_depend_on_where_validation_runs(tmp_path, monkeypatch):
+    gen = tmp_path / "gen"
+    assert main(["-q", "generate", "--config", str(SYNTH / "config.yaml"), "--out", str(gen)]) == 0
+    in_worker = []
+    run_self_training = pipeline.run_self_training
+
+    def recording(*args, **kwargs):
+        in_worker.append(kwargs["score_in_worker"])
+        return run_self_training(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_self_training", recording)
+    names = ("checkpoint.json", "training_log.jsonl", "report.json", "manifest.json")
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"selftrain-{cpus}"
+        rc = main([
+            "-q", "selftrain", "--config", str(SYNTH / "config.yaml"),
+            "--dataset", str(gen / "dataset.conll"),
+            "--validation", str(SYNTH / "validation.conll"),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        outputs[cpus] = {name: (out / name).read_bytes() for name in names}
+    assert in_worker == [False, True]
+    assert outputs[1] == outputs[2]
+    assert {
+        ("selftrain", name): hashlib.sha256(data).hexdigest()
+        for name, data in outputs[2].items()
+    } == {key: digest for key, digest in PINNED_DIGESTS.items() if key[0] == "selftrain"}
+    assert multiprocessing.active_children() == []
 
 
 def test_selftrain_without_schedule_is_config_error(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from askner.conll import format_conll, parse_conll, read_conll
@@ -56,6 +58,22 @@ def test_reader_rejects_malformed_lines():
         parse_conll("A\t\n")
     with pytest.raises(DataError, match=":1"):
         parse_conll("one\ttwo\tthree\n")
+
+
+def test_reader_names_the_line_of_an_unparseable_tag():
+    with pytest.raises(DataError, match=r"<conll>:2: unparseable tag 'X-foo'"):
+        parse_conll("A\tO\nB\tX-foo\n")
+    # CRLF text leaves "\r" on every tag; "O\r" is the first that the
+    # entity decoder cannot read ("B-LOC\r" reads as type "LOC\r").
+    with pytest.raises(DataError, match=re.escape("x.conll:2: unparseable tag 'O\\r'")):
+        parse_conll("Oslo\tB-LOC\r\nfroze\tO\r\n\r\nAnna\tB-PER\r\n", source="x.conll")
+
+
+def test_crlf_file_reads_like_lf(tmp_path):
+    # read_conll reads text with universal newlines, so no "\r" reaches a tag.
+    path = tmp_path / "crlf.conll"
+    path.write_bytes(format_conll(_sentences()).replace("\n", "\r\n").encode("utf-8"))
+    assert read_conll(path) == _sentences()
 
 
 def test_tags_with_spaces_survive():

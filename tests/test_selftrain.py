@@ -1,5 +1,8 @@
+import multiprocessing
+import os
 import pickle
 import random
+import signal
 import threading
 
 import pytest
@@ -375,3 +378,163 @@ def test_each_round_relabels_exactly_the_visited_sentences(name):
             assert len(relabel[1]) < len(unlabeled)
         assert train == ("train", {i: f"u{i + 1:06d}" for i in sorted(visited)})
         assert evaluation == ("predict", val_tokens)
+
+
+# -- validation scored in a worker process -----------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the scorer is forked"
+)
+
+
+@pytest.fixture
+def no_children_left():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+def _in_thread(fn, timeout=60):
+    """Run ``fn`` in a thread and return what it returned or raised; fails
+    if it is still running after ``timeout`` seconds."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(fn())
+        except Exception as e:
+            outcome.append(e)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=timeout)
+    assert not worker.is_alive()
+    return outcome[0]
+
+
+@needs_fork
+@pytest.mark.parametrize("name", POOL_SHAPES)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_scoring_in_a_worker_gives_the_inline_result(name, seed, no_children_left):
+    generated, unlabeled, validation, config = _case(name, seed)
+    args = (generated, unlabeled, validation, AveragedPerceptronTagger, config)
+    # SelfTrainResult equality covers best, best_round, rounds and every report.
+    assert run_self_training(*args, score_in_worker=True) == run_self_training(*args)
+
+
+@needs_fork
+def test_scoring_in_a_worker_gives_the_inline_result_for_a_stub(no_children_left):
+    generated, unlabeled, validation = _data()
+    config = SelfTrainConfig(t_begin=4, t_update=2, max_iterations=6, seed=10)
+    args = (generated, unlabeled, validation, StubTagger, config)
+    assert run_self_training(*args, score_in_worker=True) == run_self_training(*args)
+
+
+class _ShortTagger(StubTagger):
+    def predict(self, sentences):
+        return [tags[:-1] for tags in super().predict(sentences)]
+
+
+@needs_fork
+def test_a_tag_count_mismatch_in_the_worker_is_an_internal_error(no_children_left):
+    generated, unlabeled, validation = _data()
+    config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=1)
+    with pytest.raises(InternalInvariantError, match="2 tags for 3 tokens in v1"):
+        run_self_training(
+            generated, unlabeled, validation, _ShortTagger, config, score_in_worker=True
+        )
+
+
+class _FailingTagger(StubTagger):
+    """Scoring the round-1 student (level 2) fails, and so does training in
+    round 2 (which starts at level 2)."""
+
+    def predict(self, sentences):
+        if self.level == 2 and any("V" in words for words in sentences):
+            raise ValueError("scoring round 1 failed")
+        return super().predict(sentences)
+
+    def train(self, dataset, steps, seed):
+        if self.level == 2:
+            raise RuntimeError("training round 2 failed")
+        super().train(dataset, steps, seed)
+
+
+@pytest.mark.parametrize(
+    "score_in_worker", [False, pytest.param(True, marks=needs_fork)]
+)
+def test_a_failed_score_is_raised_before_the_next_rounds_failure(
+    score_in_worker, no_children_left
+):
+    generated, unlabeled, _ = _data()
+    validation = [labeled("v1", ["E1", "V"], ["B-T", "O"])]
+    config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=3)
+    with pytest.raises(ValueError, match="scoring round 1 failed"):
+        run_self_training(
+            generated, unlabeled, validation, _FailingTagger, config,
+            score_in_worker=score_in_worker,
+        )
+
+
+class _TwoArgumentError(Exception):
+    """Pickles, but unpickling calls ``__init__`` with one argument."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def _unpicklable_error():
+    error = ValueError("cannot be sent")
+    error.lock = threading.Lock()
+    return error
+
+
+class _ScoringErrorTagger(StubTagger):
+    """Raises ``make_error()`` when asked to tag the validation-only word V."""
+
+    def __init__(self, make_error):
+        super().__init__()
+        self.make_error = make_error
+
+    def predict(self, sentences):
+        if any("V" in words for words in sentences):
+            raise self.make_error()
+        return super().predict(sentences)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "make_error", [_unpicklable_error, lambda: _TwoArgumentError("scoring", "failed")]
+)
+def test_an_error_the_worker_cannot_send_back_is_an_internal_error(
+    make_error, no_children_left
+):
+    generated, unlabeled, _ = _data()
+    validation = [labeled("v1", ["E1", "V"], ["B-T", "O"])]
+    config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=2)
+    with pytest.raises(InternalInvariantError, match="validation scorer cannot send back"):
+        run_self_training(
+            generated, unlabeled, validation, lambda: _ScoringErrorTagger(make_error),
+            config, score_in_worker=True,
+        )
+
+
+class _WorkerKiller(StubTagger):
+    """Kills every child process with SIGKILL when round 2 trains."""
+
+    def train(self, dataset, steps, seed):
+        if self.level == 2:
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+        super().train(dataset, steps, seed)
+
+
+@needs_fork
+def test_a_killed_worker_is_an_internal_error_not_a_hang(no_children_left):
+    generated, unlabeled, validation = _data()
+    config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=4)
+    raised = _in_thread(lambda: run_self_training(
+        generated, unlabeled, validation, _WorkerKiller, config, score_in_worker=True
+    ))
+    assert isinstance(raised, InternalInvariantError)
+    assert "validation scorer" in str(raised)
+    assert "-9" in str(raised)
