@@ -300,6 +300,8 @@ def parse_config(
     default_rules = _parse_rules(defaults.get("rules"), f"{source}.defaults") or ()
     min_length = _want(defaults, "min_length", int, f"{source}.defaults",
                        default=DEFAULT_MIN_LENGTH)
+    if min_length < 1:
+        raise ConfigError(f"{source}.defaults: min_length must be >= 1, got {min_length}")
 
     corpus = _want(obj, "corpus", str, source, required=True)
 

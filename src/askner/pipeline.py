@@ -330,7 +330,7 @@ def _pooled_dictionary(
         results = groups.get(q.question_id, [])
         if not results:
             log.warning("generate: no results for %s", q.question_id)
-        budget = collect_training_sentences(results, q.k_l, question_id=q.question_id)
+        budget = collect_training_sentences(results, q.k_l)
         if budget.exhausted:
             log.warning(
                 "generate: %s exhausted at %d/%d sentences",
@@ -500,8 +500,7 @@ def cmd_selftrain(
     if not validation:
         raise DataError(f"{validation_path}: no sentences")
     if unlabeled_path is not None:
-        pool = load_corpus(unlabeled_path)
-        unlabeled = [s.surfaces() for s in pool.values()]
+        unlabeled = [s.surfaces() for s in load_corpus(unlabeled_path).values()]
         if not unlabeled:
             raise DataError(f"{unlabeled_path}: no sentences")
     else:
@@ -510,17 +509,13 @@ def cmd_selftrain(
         "selftrain: t_begin=%d t_update=%d max_iterations=%d seed=%d",
         schedule.t_begin, schedule.t_update, schedule.max_iterations, schedule.seed,
     )
-    import multiprocessing  # here, so that commands which never fork do not import it
-
     result = run_self_training(
         generated=dataset,
         unlabeled=unlabeled,
         validation=validation,
         tagger_factory=AveragedPerceptronTagger,
         config=schedule,
-        score_in_worker=(
-            _available_cpus() > 1 and "fork" in multiprocessing.get_all_start_methods()
-        ),
+        score_in_worker=_available_cpus() > 1 and hasattr(os, "fork"),
     )
     for record in result.rounds:
         log.info(

@@ -358,14 +358,13 @@ def serialize_results(groups: Mapping[str, Sequence[RetrievedPhrase]]) -> str:
 class SentenceBudgetResult:
     """Outcome of walking one question's ranked results under a budget."""
 
-    question_id: str
     kept_sentences: tuple[str, ...]
     kept_phrases: tuple[RetrievedPhrase, ...]
     exhausted: bool
 
 
 def collect_training_sentences(
-    results: Sequence[RetrievedPhrase], k_l: int, question_id: str | None = None
+    results: Sequence[RetrievedPhrase], k_l: int
 ) -> SentenceBudgetResult:
     """Keep results until ``k_l`` distinct sentences have been collected.
 
@@ -379,8 +378,6 @@ def collect_training_sentences(
     qids = {p.question_id for p in results}
     if len(qids) > 1:
         raise ValueError(f"results mix several questions: {sorted(qids)}")
-    if question_id is None:
-        question_id = results[0].question_id if results else ""
     ranks = [p.rank for p in results]
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise ValueError("results must be sorted by strictly increasing rank")
@@ -395,7 +392,6 @@ def collect_training_sentences(
             kept_sentences.append(p.sentence_id)
             kept_phrases.append(p)
     return SentenceBudgetResult(
-        question_id=question_id,
         kept_sentences=tuple(kept_sentences),
         kept_phrases=tuple(kept_phrases),
         exhausted=len(kept_sentences) < k_l,
@@ -426,19 +422,17 @@ def fetch_remote(
     source = f"{endpoint} (question {question_text!r})"
     last_error: Exception | None = None
     for attempt in range(1, attempts + 1):
+        if attempt > 1 and backoff:
+            time.sleep(backoff * (attempt - 1))
         try:
             resp = requests.get(
                 endpoint, params={"question": question_text, "top_n": top_n}, timeout=timeout
             )
         except requests.RequestException as e:
             last_error = e
-            if attempt < attempts and backoff:
-                time.sleep(backoff * attempt)
             continue
         if 500 <= resp.status_code < 600:
             last_error = DataError(f"{source}: server error {resp.status_code}")
-            if attempt < attempts and backoff:
-                time.sleep(backoff * attempt)
             continue
         if resp.status_code != 200:
             raise DataError(f"{source}: unexpected status {resp.status_code}")

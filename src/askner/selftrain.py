@@ -17,11 +17,12 @@ scored on validation, and the report is collected one round later, once the
 next student has trained. Validation runs in one of two places. With
 ``score_in_worker`` a worker process, forked when the run starts, restores
 each snapshot and scores it while the parent relabels and trains the next
-round, so a second CPU takes the scoring off the training path. Otherwise
-``_evaluate`` runs inline on the live tagger: on one CPU the worker only
-competes with training and adds a restore and a pipe transfer per round.
-Both give the same reports, because the worker scores exactly the
-checkpoint bytes and ``restore`` round-trips exactly.
+round, so a second CPU takes the scoring off the training path; it is
+terminated when the run ends or fails, and exits by itself if the parent
+dies. Otherwise ``_evaluate`` runs inline on the live tagger: on one CPU the
+worker only competes with training and adds a restore and a pipe transfer
+per round. Both give the same reports, because the worker scores exactly
+the checkpoint bytes and ``restore`` round-trips exactly.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ class _ForkedScorer:
     waits for that state's report and raises what scoring raised. A worker
     that dies becomes an ``InternalInvariantError``, never a hang: the wait
     also watches the process's sentinel. ``fork`` hands the worker the
-    tagger factory and the validation data without pickling them.
+    tagger factory and the validation data without pickling them. The
+    worker stops only when ``close`` terminates it, or its parent dies.
     """
 
     def __init__(
@@ -225,14 +227,12 @@ class _ForkedScorer:
         )
         self._process.start()
         child.close()
-        self._busy = False
 
     def submit(self, tagger: TaggerInterface, state: bytes) -> None:
         try:
             self._conn.send_bytes(state)
         except OSError as e:
             raise self._lost() from e
-        self._busy = True
 
     def collect(self) -> EvalReport:
         import pickle
@@ -245,7 +245,6 @@ class _ForkedScorer:
             ok, value = pickle.loads(self._conn.recv_bytes())
         except (EOFError, OSError) as e:
             raise self._lost() from e
-        self._busy = False
         if not ok:
             raise value
         return value
@@ -257,18 +256,13 @@ class _ForkedScorer:
         )
 
     def close(self) -> None:
-        """Stop the worker and wait for it to exit. A report still being
-        computed is abandoned: the worker is terminated, not waited for."""
-        if self._busy:
-            self._process.terminate()
-        else:
-            try:
-                self._conn.send_bytes(b"")
-            except OSError:
-                pass  # the worker is already gone
-        self._conn.close()
+        """Terminate the worker, wait for it to exit and close the pipe. A
+        report still being computed is abandoned; the worker holds no file
+        and has nothing to flush."""
+        self._process.terminate()
         self._process.join()
         self._process.close()
+        self._conn.close()
 
 
 def _score_states(
@@ -280,8 +274,8 @@ def _score_states(
 ) -> None:
     """The scorer process: restore each state the parent sends into a fresh
     tagger, score it and send back ``(True, report)`` or ``(False,
-    exception)``, pickled. An empty message or the parent's end closing
-    stops it."""
+    exception)``, pickled. The parent terminates it; if the parent dies
+    first, its end of the pipe closes and this returns on the EOF."""
     import pickle
     import signal
 
@@ -295,8 +289,6 @@ def _score_states(
         try:
             state = conn.recv_bytes()
         except (EOFError, OSError):
-            return
-        if not state:
             return
         try:
             tagger = tagger_factory()
@@ -357,31 +349,9 @@ def run_self_training(
         scorer = _ForkedScorer(tagger_factory, validation, gold)
     else:
         scorer = _InlineScorer(validation, gold)
-    try:
-        return _self_train(generated, unlabeled, tagger_factory, config, scorer)
-    finally:
-        scorer.close()
-
-
-def _self_train(
-    generated: Sequence[LabeledSentence],
-    unlabeled: Sequence[Sequence[str]],
-    tagger_factory: Callable[[], TaggerInterface],
-    config: SelfTrainConfig,
-    scorer: _InlineScorer | _ForkedScorer,
-) -> SelfTrainResult:
-    teacher = tagger_factory()
-    try:
-        teacher.train(generated, config.t_begin, config.seed)
-    except Exception as e:
-        e.args = (f"teacher warmup failed: {e}",)
-        raise
-    # The teacher's state; after each round it is the verified student state.
-    state = teacher.snapshot()
-    scorer.submit(teacher, state)
     # (round, student steps, state) whose report is still to be collected;
     # round 0 is the warmed-up teacher.
-    outstanding: tuple[int, int, bytes] | None = (0, 0, state)
+    outstanding: tuple[int, int, bytes] | None = None
     teacher_report: EvalReport | None = None
     rounds: list[RoundRecord] = []
     reports: list[EvalReport] = []
@@ -412,6 +382,16 @@ def _self_train(
     done = 0
     round_no = 0
     try:
+        teacher = tagger_factory()
+        try:
+            teacher.train(generated, config.t_begin, config.seed)
+        except Exception as e:
+            e.args = (f"teacher warmup failed: {e}",)
+            raise
+        # The teacher's state; after each round it is the verified student state.
+        state = teacher.snapshot()
+        scorer.submit(teacher, state)
+        outstanding = (0, 0, state)
         while done < config.max_iterations:
             round_no += 1
             steps = min(config.t_update, config.max_iterations - done)
@@ -444,6 +424,8 @@ def _self_train(
         if outstanding is not None:
             collect()
         raise
+    finally:
+        scorer.close()
 
     return SelfTrainResult(
         best=best,

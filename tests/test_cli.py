@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import socket
 import threading
 import time
 import tracemalloc
@@ -22,6 +23,7 @@ from types import SimpleNamespace
 from urllib.parse import parse_qs, urlparse
 
 import pytest
+import requests
 import yaml
 
 from askner import pipeline
@@ -364,6 +366,62 @@ def test_internal_invariant_exits_3(tmp_path, monkeypatch):
     assert rc == 3
 
 
+def test_a_missing_input_file_is_config_error(tmp_path, caplog):
+    missing = tmp_path / "absent.conll"
+    rc = main(["eval", str(missing), str(DEMO / "gold.conll")])
+    assert rc == 1
+    assert f"missing input files: {missing}" in caplog.text
+
+
+@pytest.mark.parametrize("empty", ["dataset", "validation", "unlabeled"])
+def test_selftrain_on_an_empty_input_is_data_error(tmp_path, caplog, empty):
+    inputs = {
+        "dataset": SYNTH / "validation.conll",
+        "validation": SYNTH / "validation.conll",
+        "unlabeled": SYNTH / "corpus.jsonl",
+    }
+    inputs[empty] = tmp_path / f"empty-{empty}"
+    inputs[empty].write_text("", encoding="utf-8")
+    out = tmp_path / "selftrain"
+    rc = main([
+        "-q", "selftrain", "--config", str(SYNTH / "config.yaml"),
+        *(arg for name, path in inputs.items() for arg in (f"--{name}", str(path))),
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert f"{inputs[empty]}: no sentences" in caplog.text
+    assert not out.exists()
+
+
+def test_eval_on_different_tokens_is_data_error(tmp_path, caplog):
+    gold = tmp_path / "gold.conll"
+    pred = tmp_path / "pred.conll"
+    gold.write_text("Oslo\tB-city\nrains\tO\n", encoding="utf-8")
+    pred.write_text("Bergen\tB-city\nrains\tO\n", encoding="utf-8")
+    rc = main(["eval", str(gold), str(pred)])
+    assert rc == 2
+    assert "token mismatch in sentence" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "k, results, rc, message",
+    [(0, DEMO / "results.jsonl", 1, "k must be >= 1, got 0"),
+     (5, None, 2, ": no results to score")],
+    ids=["k-0", "empty-results"],
+)
+def test_judge_stats_rejects_a_zero_k_and_an_empty_results_file(
+    tmp_path, caplog, k, results, rc, message
+):
+    if results is None:
+        results = tmp_path / "results.jsonl"
+        results.write_text("", encoding="utf-8")
+    assert main([
+        "judge-stats", "--results", str(results),
+        "--judgments", str(DEMO / "judgments.jsonl"), "--k", str(k),
+    ]) == rc
+    assert message in caplog.text
+
+
 def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch):
     real_fsync = os.fsync
     calls = []
@@ -626,6 +684,37 @@ def test_fetch_remote_rising_score_is_data_error_without_retry(server):
         fetch_remote("Which city?", server.url, 2, question_id="city:city", attempts=3, backoff=0)
     assert "Which city?" in str(err.value)
     assert len(server.seen) == 1
+
+
+def test_fetch_remote_object_payload_is_data_error(server):
+    server.replies["Which city?"] = [(200, {"results": [_record(1)]})]
+    with pytest.raises(DataError, match="expected a JSON array of result records"):
+        fetch_remote("Which city?", server.url, 1, question_id="city:city", attempts=3, backoff=0)
+    assert len(server.seen) == 1
+
+
+@pytest.mark.parametrize("backoff, sleeps", [(0, []), (0.5, [0.5, 1.0])])
+def test_fetch_remote_retries_a_refused_connection_then_gives_up(
+    monkeypatch, backoff, sleeps
+):
+    with socket.socket() as sock:  # a port that nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{sock.getsockname()[1]}/search"
+    real_get = requests.get
+    tries = []
+    slept = []
+
+    def counted_get(*args, **kwargs):
+        tries.append(args)
+        return real_get(*args, **kwargs)
+
+    monkeypatch.setattr(requests, "get", counted_get)
+    monkeypatch.setattr("askner.retrieval.time.sleep", slept.append)
+    with pytest.raises(FetchError, match="retrieval failed after 3 attempts") as err:
+        fetch_remote("Which city?", url, 1, question_id="city:city", attempts=3, backoff=backoff)
+    assert err.value.attempts == 3
+    assert len(tries) == 3
+    assert slept == sleeps
 
 
 def _city_config(tmp_path: Path, server) -> Path:

@@ -152,6 +152,29 @@ def test_boolean_is_not_an_integer(tmp_path):
         parse_config(obj, base_dir=tmp_path)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"defaults": {"min_length": 0}},
+         r"<config>\.defaults: min_length must be >= 1, got 0"),
+        ({"seed": "1"}, r"'seed' must be int, got str"),
+        ({"types": ["city"]}, r"types\[0\]: each type must be an object"),
+        ({"types": [{"name": "a\tb", "labels": ["city"]}]}, r"bad type name 'a\\tb'"),
+        ({"types": [{"name": "city", "labels": []}]}, "'city' needs at least one label"),
+        ({"types": [{"name": "city", "labels": [5]}]},
+         r"labels\[0\]: label must be a string or an object"),
+        ({"types": [{"name": "city", "labels": [{"label": " "}]}]},
+         r"labels\[0\]: label must be non-empty"),
+        ({"selftrain": [200, 100]}, r"selftrain: selftrain must be an object"),
+    ],
+    ids=["min-length-0", "wrong-type", "type-not-object", "tab-in-name", "no-labels",
+         "label-not-string-or-object", "blank-label", "selftrain-not-object"],
+)
+def test_malformed_config_is_rejected_where_it_is_written(tmp_path, extra, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(_minimal(**extra), base_dir=tmp_path)
+
+
 def test_template_options(tmp_path):
     cfg = parse_config(_minimal(template="list-of"), base_dir=tmp_path)
     assert cfg.template.pattern == "list of [TYPE]"

@@ -510,7 +510,6 @@ def test_budget_walk_keeps_phrases_of_kept_sentences():
     assert out.kept_sentences == ("A", "B")
     assert [p.rank for p in out.kept_phrases] == [1, 2, 3, 5]
     assert out.exhausted is False
-    assert out.question_id == "q"
 
 
 def test_budget_walk_exhaustion():
@@ -521,11 +520,10 @@ def test_budget_walk_exhaustion():
 
 
 def test_budget_walk_empty_results():
-    out = collect_training_sentences([], k_l=3, question_id="q")
+    out = collect_training_sentences([], k_l=3)
     assert out.kept_sentences == ()
     assert out.kept_phrases == ()
     assert out.exhausted is True
-    assert out.question_id == "q"
 
 
 def test_budget_walk_zero_budget():

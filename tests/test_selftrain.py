@@ -538,3 +538,23 @@ def test_a_killed_worker_is_an_internal_error_not_a_hang(no_children_left):
     assert isinstance(raised, InternalInvariantError)
     assert "validation scorer" in str(raised)
     assert "-9" in str(raised)
+
+
+class _WarmupFailure(StubTagger):
+    def train(self, dataset, steps, seed):
+        raise ValueError("no data")
+
+
+@pytest.mark.parametrize(
+    "score_in_worker", [False, pytest.param(True, marks=needs_fork)]
+)
+def test_a_failed_teacher_warmup_is_named_and_stops_the_worker(
+    score_in_worker, no_children_left
+):
+    generated, unlabeled, validation = _data()
+    config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=1)
+    with pytest.raises(ValueError, match=r"^teacher warmup failed: no data$"):
+        run_self_training(
+            generated, unlabeled, validation, _WarmupFailure, config,
+            score_in_worker=score_in_worker,
+        )
