@@ -167,7 +167,7 @@ def match_sentences(
     out: list[MatchSpan] = []
     for sentence in sentences:
         words = []
-        for surface, _, _ in sentence.tokens:
+        for surface in sentence.tokens:
             split = token_words.get(surface)
             if split is None:
                 split = token_words[surface] = tuple(surface.lower().split())
@@ -177,7 +177,7 @@ def match_sentences(
             raw = [
                 (s, e, pat)
                 for s, e, pat in raw
-                if not (e - s == 1 and sentence.tokens[s][0].islower())
+                if not (e - s == 1 and sentence.tokens[s].islower())
             ]
         raw.sort(key=lambda hit: (hit[0], -(hit[1] - hit[0])))
         kept: list[tuple[int, int, str]] = []
@@ -325,11 +325,5 @@ def emit_bio(
             tags[span.token_start] = begin
             for i in range(span.token_start + 1, span.token_end):
                 tags[i] = inside
-        out.append(
-            LabeledSentence(
-                sentence_id=sentence.sentence_id,
-                tokens=sentence.surfaces(),
-                tags=tuple(tags),
-            )
-        )
+        out.append(LabeledSentence(sentence.sentence_id, sentence.tokens, tuple(tags)))
     return out

@@ -2,8 +2,8 @@
 
 One pipeline run per process invocation. Exit codes: 0 success, 1 for
 configuration/argument problems, 2 for malformed input data, 3 for violated
-internal invariants. Logs go to stderr; structured results go to files (and
-a short human summary to stdout).
+internal invariants, 130 when interrupted (Ctrl-C). Logs go to stderr;
+structured results go to files (and a short human summary to stdout).
 """
 
 from __future__ import annotations
@@ -126,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineError as e:
         logging.getLogger("askner").error("%s", e)
         return e.exit_code
+    except KeyboardInterrupt:
+        logging.getLogger("askner").error("interrupted")
+        return 130
     return 0
 
 

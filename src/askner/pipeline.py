@@ -500,7 +500,7 @@ def cmd_selftrain(
     if not validation:
         raise DataError(f"{validation_path}: no sentences")
     if unlabeled_path is not None:
-        unlabeled = [s.surfaces() for s in load_corpus(unlabeled_path).values()]
+        unlabeled = [s.tokens for s in load_corpus(unlabeled_path).values()]
         if not unlabeled:
             raise DataError(f"{unlabeled_path}: no sentences")
     else:

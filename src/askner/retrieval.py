@@ -4,7 +4,8 @@ The pipeline treats phrase retrieval as an external service: given a
 question, it returns ranked (phrase, evidence sentence) pairs. This module
 owns the corpus and results file formats, validation, the per-question
 sentence budget, and the HTTP client for the retrieval service. Every field
-of both formats must have its JSON type; nothing is coerced. The sentences
+of both formats must have its JSON type; nothing is coerced. Token offsets
+are checked when a corpus record is read and are not kept; the sentences
 one corpus read holds share their repeated token strings.
 
 One function checks each record kind: ``_check_tokens`` the tokens of a
@@ -32,14 +33,12 @@ RESULT_FIELDS = ("question_id", "rank", "phrase", "score", "sentence_id", "char_
 
 @dataclass(frozen=True, slots=True)
 class CorpusSentence:
-    """One pre-tokenized sentence."""
+    """One pre-tokenized sentence: its text and its token surfaces. Token
+    offsets are checked when the record is read, and are not kept."""
 
     sentence_id: str
     text: str
-    tokens: tuple[tuple[str, int, int], ...]
-
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t[0] for t in self.tokens)
+    tokens: tuple[str, ...]
 
 
 def _record_fields(obj: object, where: str) -> tuple[str, str, list]:
@@ -117,17 +116,17 @@ def _check_tokens(text: str, tokens: list, where: str) -> None:
 def sentence_from_record(
     obj: object, where: str = "<corpus>", surfaces: dict[str, str] | None = None
 ) -> CorpusSentence:
-    """Decode and check one corpus record; nothing is coerced. With
-    ``surfaces``, a {surface: surface} memo, each token surface is replaced
-    by the equal string the memo already holds, and new ones are added, so
-    sentences read through one memo share their repeated words.
+    """Decode and check one corpus record; nothing is coerced, and only the
+    token surfaces are kept. With ``surfaces``, a {surface: surface} memo,
+    each surface is replaced by the equal string the memo already holds, and
+    new ones are added, so sentences read through one memo share their words.
 
     A record with several faults reports the first record-level one, else
     the first token whose type is wrong, else the first token misplaced."""
     sid, text, tokens = _record_fields(obj, where)
     _check_tokens(text, tokens, where)
     memo = {} if surfaces is None else surfaces
-    toks = tuple([(memo.setdefault(s, s), start, end) for s, start, end in tokens])
+    toks = tuple([memo.setdefault(s, s) for s, _, _ in tokens])
     return CorpusSentence(sentence_id=sid, text=text, tokens=toks)
 
 

@@ -99,8 +99,7 @@ def test_match_is_case_insensitive_and_token_bounded():
     sentences = [
         sent("s3", "new YORK met York"),
         sent("s4", "NEW york left new York"),
-        CorpusSentence("s5", "York left New York",
-                       (("York", 0, 4), ("left", 5, 9), ("New York", 10, 18))),
+        CorpusSentence("s5", "York left New York", ("York", "left", "New York")),
     ]
     got = [
         (m.sentence_id, m.token_start, m.token_end, m.phrase_key)
@@ -110,7 +109,7 @@ def test_match_is_case_insensitive_and_token_bounded():
         (s.sentence_id, *hit)
         for s in sentences
         for hit in _brute_force_resolve(
-            sorted(_brute_force_windows(set(d.entries), list(s.surfaces())))
+            sorted(_brute_force_windows(set(d.entries), list(s.tokens)))
         )
     ]
     assert got == expected

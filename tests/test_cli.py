@@ -13,6 +13,8 @@ import os
 import re
 import shutil
 import socket
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -364,6 +366,33 @@ def test_internal_invariant_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr("askner.cli.cmd_eval", explode)
     rc = main(["eval", str(DEMO / "gold.conll"), str(DEMO / "gold.conll")])
     assert rc == 3
+
+
+def test_interrupt_exits_130_and_leaves_no_partial_output(tmp_path):
+    # Ctrl-C after the first output file is staged. Run in a child process,
+    # so that stderr is the real one and an uncaught interrupt cannot stop
+    # the test session.
+    script = """
+import sys
+from askner import cli, pipeline
+write = pipeline.atomic_write
+def interrupt(path, data):
+    write(path, data)
+    raise KeyboardInterrupt
+pipeline.atomic_write = interrupt
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    out = tmp_path / "out"
+    args = ["-q", "generate", "--config", str(DEMO / "config.yaml"), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 130
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("\nERROR askner: interrupted\n")
+    assert proc.stderr.count("interrupted") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_a_missing_input_file_is_config_error(tmp_path, caplog):

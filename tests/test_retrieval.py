@@ -54,7 +54,7 @@ def test_load_corpus_roundtrip(tmp_path):
     assert list(corpus) == ["s1", "s2"]
     # an extra key such as "candidates" is ignored
     assert corpus["s2"] == sentence_from_record(_record("s2", "Oslo froze"))
-    assert corpus["s1"].surfaces() == ("Leprosy", "is", "chronic")
+    assert corpus["s1"].tokens == ("Leprosy", "is", "chronic")
 
 
 def test_load_corpus_duplicate_id(tmp_path):
@@ -139,9 +139,24 @@ def test_load_corpus_held_sentences_share_equal_surfaces(tmp_path):
         tmp_path, [_record("s1", "Leprosy is chronic"), _record("s2", "Leprosy spreads")]
     )
     corpus = load_corpus(path)
-    first, second = corpus["s1"].tokens[0][0], corpus["s2"].tokens[0][0]
+    first, second = corpus["s1"].tokens[0], corpus["s2"].tokens[0]
     assert first == second == "Leprosy"
     assert first is second
+
+
+def test_held_tokens_are_surface_strings_shared_across_sentences(tmp_path):
+    path = _write_corpus(
+        tmp_path,
+        [_record("s1", "Oslo is cold in Oslo"), _record("s2", "cold Oslo"), _record("s3", "Oslo")],
+    )
+    corpus = load_corpus(path, {"s1", "s2"})
+    assert [s.tokens for s in corpus.values()] == [
+        ("Oslo", "is", "cold", "in", "Oslo"), ("cold", "Oslo")
+    ]
+    held = [t for s in corpus.values() for t in s.tokens]
+    assert all(type(t) is str for t in held)
+    # one object per distinct surface, within a sentence and across sentences
+    assert len({id(t) for t in held}) == len(set(held)) == 4
 
 
 def test_sentence_validation_catches_span_lies():
@@ -165,18 +180,18 @@ def test_sentence_validation_catches_span_lies():
 # -- record checks against the field-by-field reference ---------------------
 
 
-def _ref_check_sentence(s, where):
-    if not s.tokens:
+def _ref_check_tokens(text, toks, where):
+    if not toks:
         raise DataError(f"{where}: sentence has no tokens")
     prev_end = 0
-    for i, (surface, start, end) in enumerate(s.tokens):
-        if not 0 <= start < end <= len(s.text):
+    for i, (surface, start, end) in enumerate(toks):
+        if not 0 <= start < end <= len(text):
             raise DataError(f"{where}: token {i} span [{start}, {end}) out of bounds")
         if start < prev_end:
             raise DataError(f"{where}: token {i} overlaps or is out of order")
-        if s.text[start:end] != surface:
+        if text[start:end] != surface:
             raise DataError(
-                f"{where}: token {i} surface {surface!r} != text slice {s.text[start:end]!r}"
+                f"{where}: token {i} surface {surface!r} != text slice {text[start:end]!r}"
             )
         if "\t" in surface or "\n" in surface:
             raise DataError(f"{where}: token {i} contains tab/newline, unsupported")
@@ -185,7 +200,9 @@ def _ref_check_sentence(s, where):
 
 def _ref_sentence_from_record(obj, where):
     """The corpus record check as it was before it took one pass, kept as
-    the reference for what a record is and how each fault is worded."""
+    the reference for what a record is and how each fault is worded. It
+    checks the record's (surface, start, end) triples, then keeps only the
+    surfaces."""
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
     try:
@@ -212,9 +229,8 @@ def _ref_sentence_from_record(obj, where):
                 f"got {token!r}"
             )
         toks.append((surface, start, end))
-    sent = CorpusSentence(sentence_id=sid, text=text, tokens=tuple(toks))
-    _ref_check_sentence(sent, where)
-    return sent
+    _ref_check_tokens(text, toks, where)
+    return CorpusSentence(sentence_id=sid, text=text, tokens=tuple(s for s, _, _ in toks))
 
 
 def _ref_is_finite_number(value):

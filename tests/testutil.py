@@ -10,9 +10,8 @@ from askner.retrieval import CorpusSentence, RetrievedPhrase
 
 
 def sent(sid: str, text: str) -> CorpusSentence:
-    """Whitespace-tokenized sentence with char spans derived from the text."""
-    tokens = tuple((m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", text))
-    return CorpusSentence(sid, text, tokens)
+    """Whitespace-tokenized sentence: its tokens are the text's words."""
+    return CorpusSentence(sid, text, tuple(re.findall(r"\S+", text)))
 
 
 def phrase(
