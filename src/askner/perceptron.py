@@ -35,6 +35,7 @@ from itertools import chain
 from typing import Sequence
 
 from .annotator import LabeledSentence
+from .errors import DataError
 from .selftrain import visit_order
 
 START = "<s>"
@@ -100,6 +101,30 @@ def _successors(tags: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
     """For each previous tag (``START`` included), the tags that may follow
     it, in ``tags`` order."""
     return {prev: tuple(t for t in tags if _legal(prev, t)) for prev in (START, *tags)}
+
+
+def _check_state(obj: object) -> None:
+    """Raise DataError naming the first fault ``restore`` met in a decoded
+    state: not an object, a missing field, params not an array, or a params
+    row that does not unpack into five fields or whose feature or tag is an
+    array or an object."""
+    if not isinstance(obj, dict):
+        raise DataError(f"checkpoint: expected an object, got {type(obj).__name__}")
+    for field in ("tags", "ticks", "params"):
+        if field not in obj:
+            raise DataError(f"checkpoint: missing field {field!r}")
+    params = obj["params"]
+    if not isinstance(params, list):
+        raise DataError(f"checkpoint: params must be an array, got {type(params).__name__}")
+    for i, row in enumerate(params):
+        try:
+            feat, tag, _, _, _ = row
+            hash((feat, tag))
+        except (TypeError, ValueError):
+            raise DataError(
+                f"checkpoint: params row {i} must be [feature, tag, weight, total, stamp], "
+                f"got {row!r}"
+            ) from None
 
 
 class AveragedPerceptronTagger:
@@ -273,10 +298,21 @@ class AveragedPerceptronTagger:
         return json.dumps(state, separators=(",", ":")).encode("ascii")
 
     def restore(self, state: bytes) -> None:
-        obj = json.loads(state)
-        self.tags = obj["tags"]
-        self._ticks = obj["ticks"]
-        self.weights, self._acc = {}, {}
-        for feat, tag, w, total, stamp in obj["params"]:
-            self.weights.setdefault(feat, {})[tag] = w
-            self._acc[feat, tag] = (total, stamp)
+        """Load a ``snapshot`` state. A state this loop cannot load (not
+        JSON, not an object, a missing field, a malformed params row) raises
+        DataError naming the fault; the values themselves are not checked.
+        After a failed restore the tagger holds no usable state."""
+        try:
+            obj = json.loads(state)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"checkpoint: invalid JSON: {e}") from None
+        try:
+            self.tags = obj["tags"]
+            self._ticks = obj["ticks"]
+            self.weights, self._acc = {}, {}
+            for feat, tag, w, total, stamp in obj["params"]:
+                self.weights.setdefault(feat, {})[tag] = w
+                self._acc[feat, tag] = (total, stamp)
+        except (KeyError, TypeError, ValueError):
+            _check_state(obj)
+            raise

@@ -14,12 +14,14 @@ costs, not by the hits or matches made along the way.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
 import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -392,11 +394,31 @@ def _assigned(
     return assign_types(dictionary, spans)
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, and re-enable it afterwards only
+    if it was enabled before. Reference counting still frees every object
+    that is not in a cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateResult:
     """Produce the weakly labeled dataset: retrieve (or replay), budget,
     read the corpus for the kept sentences, normalize, build the
     dictionary, annotate, and write the artifacts. Each stage's records are
-    dropped once the next stage has what it needs."""
+    dropped once the next stage has what it needs.
+
+    The cyclic collector is paused for the whole command: the records it
+    builds hold almost no reference cycles, yet the collector would walk
+    them again and again as they pile up. The collection it defers runs
+    once the collector is enabled again."""
     out_dir = out or config.output_dir
     inputs: dict[str, Path] = {
         "corpus": config.corpus_path,

@@ -14,6 +14,11 @@ pass that only accepts a well-formed record, then a walk that words the
 fault of a record the pass rejected, so a record with several faults always
 reports the same one. A corpus line whose sentence is neither held nor
 visited is checked without being built.
+
+Every JSONL file (corpus, results, and the judgments ``metrics`` reads) is
+read through ``jsonl_records``: ``raw_decode`` takes a line whose value runs
+up to its newline, and ``json.loads`` every other line, so each line reads,
+or fails, as ``json.loads`` makes it.
 """
 
 from __future__ import annotations
@@ -137,18 +142,34 @@ def _check_record(obj: object, where: str) -> None:
     _check_tokens(text, tokens, where)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[object, str]]:
     """Yield (decoded record, "<source>:<line number>") for each non-blank
-    line; a line that is not JSON is a DataError naming its location."""
+    line; a line that is not JSON is a DataError naming its location.
+
+    A line is decoded with ``raw_decode``, which skips ``json.loads``'
+    wrapper, and accepted when its value ends at the end of the line or
+    right before its final newline. Any other line (leading or trailing
+    whitespace, a BOM, extra data, blank, not JSON) is handed to
+    ``json.loads``, so every record is the one ``json.loads`` gives and
+    every error is the one it raises."""
     for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        where = f"{source}:{lineno}"
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{where}: invalid JSON: {e}") from None
-        yield obj, where
+            obj, end = _raw_decode(line)
+        except (TypeError, ValueError):
+            whole = False
+        else:
+            whole = end == len(line) or line[end:] == "\n"
+        if not whole:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DataError(f"{source}:{lineno}: invalid JSON: {e}") from None
+        yield obj, f"{source}:{lineno}"
 
 
 class Corpus(dict):

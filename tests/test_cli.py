@@ -4,6 +4,7 @@ plus the HTTP retrieval client against a local test server."""
 from __future__ import annotations
 
 import errno
+import gc
 import hashlib
 import importlib.util
 import json
@@ -373,6 +374,7 @@ def test_interrupt_exits_130_and_leaves_no_partial_output(tmp_path):
     # so that stderr is the real one and an uncaught interrupt cannot stop
     # the test session.
     script = """
+import gc
 import sys
 from askner import cli, pipeline
 write = pipeline.atomic_write
@@ -380,7 +382,9 @@ def interrupt(path, data):
     write(path, data)
     raise KeyboardInterrupt
 pipeline.atomic_write = interrupt
-sys.exit(cli.main(sys.argv[1:]))
+rc = cli.main(sys.argv[1:])
+print("gc enabled:", gc.isenabled())
+sys.exit(rc)
 """
     out = tmp_path / "out"
     args = ["-q", "generate", "--config", str(DEMO / "config.yaml"), "--out", str(out)]
@@ -393,6 +397,8 @@ sys.exit(cli.main(sys.argv[1:]))
     assert proc.stderr.endswith("\nERROR askner: interrupted\n")
     assert proc.stderr.count("interrupted") == 1
     assert list(out.iterdir()) == []
+    # generate paused the cyclic collector, and the interrupt re-enabled it
+    assert proc.stdout == "gc enabled: True\n"
 
 
 def test_a_missing_input_file_is_config_error(tmp_path, caplog):
@@ -466,6 +472,43 @@ def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         cmd_generate(load_config(DEMO / "config.yaml"), out=out)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad_line", [None, "{broken"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_generate_leaves_the_garbage_collector_as_it_found_it(
+    tmp_path, monkeypatch, enabled, bad_line
+):
+    # generate pauses the cyclic collector while it runs. Afterwards, on
+    # success or on a data error, the collector is on exactly if it was
+    # before: a caller that had turned it off finds it still off.
+    config = load_config(DEMO / "config.yaml")
+    if bad_line is not None:
+        corpus = tmp_path / "corpus.jsonl"
+        text = config.corpus_path.read_text(encoding="utf-8")
+        corpus.write_text(text + bad_line + "\n", encoding="utf-8")
+        config = replace(config, corpus_path=corpus)
+    during = []
+    load = pipeline.load_corpus
+
+    def load_corpus(*args, **kwargs):
+        during.append(gc.isenabled())
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_corpus", load_corpus)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if bad_line is None:
+            cmd_generate(config, out=tmp_path / "out")
+        else:
+            with pytest.raises(DataError, match=re.escape(f"{corpus}:") + r"\d+: invalid JSON"):
+                cmd_generate(config, out=tmp_path / "out")
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+    assert after is enabled
 
 
 # Each command's artifacts in the order it writes them, manifest last.

@@ -1,6 +1,10 @@
 import json
 import random
+import re
 
+import pytest
+
+from askner.errors import DataError
 from askner.metrics import extract_entities
 from askner.perceptron import (
     END,
@@ -106,6 +110,32 @@ def test_equal_states_give_equal_bytes():
     c.restore(empty)
     assert c.snapshot() == empty
     assert c.predict([["Oslo", "froze"]]) == [["O", "O"]]
+
+
+_ROW = ["w=oslo", "B-LOC", 1.0, 2.0, 0]
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        (b"{}", "missing field 'tags'"),
+        (b"[]", "expected an object, got list"),
+        (b"not json", "invalid JSON: Expecting value"),
+        (b"\xff", "invalid JSON: 'utf-8' codec can't decode"),
+        ({"tags": ["O"], "params": []}, "missing field 'ticks'"),
+        ({"tags": ["O"], "ticks": 0}, "missing field 'params'"),
+        ({"tags": ["O"], "ticks": 0, "params": 5}, "params must be an array, got int"),
+        ({"tags": ["O"], "ticks": 0, "params": [_ROW, ["w=oslo", "O"]]},
+         "params row 1 must be [feature, tag, weight, total, stamp], got ['w=oslo', 'O']"),
+        ({"tags": ["O"], "ticks": 0, "params": [_ROW, [["w=oslo"], "O", 1.0, 1.0, 0]]},
+         "params row 1 must be [feature, tag, weight, total, stamp], got [['w=oslo'], 'O'"),
+    ],
+)
+def test_restore_rejects_a_malformed_state_naming_the_fault(state, message):
+    if isinstance(state, dict):
+        state = json.dumps(state).encode()
+    with pytest.raises(DataError, match="^" + re.escape(f"checkpoint: {message}")):
+        AveragedPerceptronTagger().restore(state)
 
 
 def test_training_is_cumulative_after_restore():

@@ -4,7 +4,7 @@ import re
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from askner.errors import DataError
@@ -18,6 +18,7 @@ from askner.retrieval import (
     collect_training_sentences,
     fetch_remote,
     ingest_results,
+    jsonl_records,
     load_corpus,
     read_results,
     sentence_from_record,
@@ -365,6 +366,103 @@ def test_result_record_checks_match_the_reference(rec):
     assert got == _outcome(_ref_phrase_from_record, rec, "r:1")
     if isinstance(got, RetrievedPhrase):
         assert type(got.score) is float
+
+
+# -- line decoding against json.loads ---------------------------------------
+
+
+def _ref_jsonl_records(lines, source):
+    """The line reader as it was before its ``raw_decode`` fast path: every
+    line through ``json.loads``."""
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"{source}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{where}: invalid JSON: {e}") from None
+        yield obj, where
+
+
+def _typed(value):
+    """``value`` with the type of every part spelled out, so that 1, 1.0 and
+    True, 0.0 and -0.0, and NaN and NaN compare as they should."""
+    if isinstance(value, dict):
+        return ("dict", [(k, _typed(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return ("list", [_typed(v) for v in value])
+    return (type(value).__name__, repr(value))
+
+
+def _read_all(reader, lines):
+    """Every (record, where) the reader yields, then the exception that
+    stopped it (type and message), if one did."""
+    got = []
+    try:
+        for obj, where in reader(lines, "src"):
+            got.append((_typed(obj), where))
+    except Exception as e:  # noqa: BLE001 - the type and message are compared
+        got.append((type(e).__name__, str(e)))
+    return got
+
+
+# JSON whitespace, then other whitespace str.strip() removes, a BOM, a NUL
+_SPACE = st.sampled_from(
+    [" ", "\t", "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
+     "\u3000", "\ufeff", "\x00"]
+)
+_ATOMS = st.sampled_from(
+    ["null", "true", "false", "0", "-0", "-0.0", "0.0", "1e400", "-1e400", "2.5E-3",
+     "NaN", "Infinity", "-Infinity", "9" * 30, "-" + "1" * 25, "1" * 4301,
+     '""', '"a"', '"\\u00e9\\n"', '"\\ud800"', '"\u00e9\\t"', "nan", "True", "+1", "01", "'a'"]
+)
+
+
+@st.composite
+def _json_text(draw, depth=0):
+    """JSON text, sometimes broken: atoms of every kind, arrays, and objects
+    whose keys repeat, with JSON whitespace between tokens."""
+    kind = draw(st.integers(0, 4 if depth < 3 else 1))
+    if kind == 0:
+        return draw(_ATOMS)
+    if kind == 1:
+        return json.dumps(draw(st.one_of(st.text(max_size=4), st.floats(), st.integers())))
+    gap = draw(st.sampled_from(["", "", " ", "\t", "\n", " \r\n "]))
+    items = draw(st.lists(_json_text(depth + 1), max_size=3))
+    if kind == 2:
+        return "[" + gap + ("," + gap).join(items) + "]"
+    keys = draw(st.lists(st.sampled_from(['"a"', '"b"', '""', '"\\u0061"']), min_size=len(items),
+                         max_size=len(items)))
+    return "{" + ",".join(f"{k}{gap}:{gap}{v}" for k, v in zip(keys, items)) + "}"
+
+
+@st.composite
+def _jsonl_lines(draw):
+    """One to five lines: JSON text with any whitespace (or a BOM) before and
+    after it, trailing garbage, or nothing at all, most ending in a newline."""
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        head = "".join(draw(st.lists(_SPACE, max_size=2))) if draw(st.booleans()) else ""
+        body = draw(_json_text()) if draw(st.integers(0, 5)) else ""
+        tail = "".join(draw(st.lists(_SPACE | st.sampled_from(["x", "}", "]", ",", "1", "{}"]),
+                                     max_size=2))) if draw(st.booleans()) else ""
+        lines.append(head + body + tail + draw(st.sampled_from(["\n", "\n", ""])))
+    return lines
+
+
+@settings(max_examples=800, deadline=None)
+@given(_jsonl_lines())
+@example(['{"a": 1}\n', ' {"a": 1}\n', '{"a": 1} \n', '{"a": 1}\r\n', "[1, 2]\n", "-0.0\n",
+          "NaN\n", '{"a": 1, "a": 2}\n', "", "\n", " \t\n", "\x0b\n", '{"a": 1}'])
+@example(["{}\n", "\x0b{}\n"])
+@example(["{}\n", "\ufeff{}\n"])
+@example(["{}\n", "{} {}\n"])
+@example(["{}\n", "{}x"])
+@example(["{}\n", "{oops\n"])
+@example(["{}\n", "1" * 4301 + "\n"])
+def test_jsonl_records_match_json_loads_line_by_line(lines):
+    assert _read_all(jsonl_records, lines) == _read_all(_ref_jsonl_records, lines)
 
 
 # -- results ingestion ------------------------------------------------------
