@@ -45,26 +45,28 @@ class PseudoDictionary:
 
 
 def build_dictionary(
-    normalized: Iterable[NormalizedPhrase],
+    weighted: Iterable[tuple[NormalizedPhrase, int]],
     quality_phrases: Iterable[str] = (),
 ) -> PseudoDictionary:
-    """Pool normalized phrases into keyed entries with per-type counts.
+    """Pool (normalized phrase, count) pairs into keyed entries with
+    per-type counts.
 
-    Each phrase contributes one count to (its key, its output type). Rule 8
-    short forms are registered as match-time patterns pointing at the long
-    form's key — first claim wins, and short forms identical to a real entry
-    key are dropped so they cannot double-match.
+    Each pair adds its count to (its phrase's key, its output type); a
+    phrase that several hits gave comes once, with the number of those hits
+    as its count. Rule 8 short forms are registered as match-time patterns
+    pointing at the long form's key — first claim wins, and short forms
+    identical to a real entry key are dropped so they cannot double-match.
     """
     entries: dict[str, DictEntry] = {}
     abbreviations: dict[str, str] = {}
-    for np in normalized:
+    for np, count in weighted:
         key = surface_key(np.surface)
         if not key:
             raise InternalInvariantError(f"normalized phrase collapses to empty key: {np!r}")
         entry = entries.get(key)
         if entry is None:
             entry = entries[key] = DictEntry(key=key)
-        entry.counts[np.type_label] = entry.counts.get(np.type_label, 0) + 1
+        entry.counts[np.type_label] = entry.counts.get(np.type_label, 0) + count
         if np.abbreviation:
             short = surface_key(np.abbreviation)
             if short and short not in abbreviations:
@@ -125,9 +127,12 @@ class _WordTrie:
         in it lands on a pattern node — so matches always cover whole tokens,
         even for the odd token that carries several words (or none).
         """
+        root = self.root
         hits = []
-        for start in range(len(token_words)):
-            node = self.root
+        # A window can only begin at a token whose first word starts a
+        # pattern, or at a token with no words, which walks nothing.
+        for start in [i for i, w in enumerate(token_words) if not w or w[0] in root]:
+            node = root
             for end in range(start, len(token_words)):
                 for word in token_words[end]:
                     node = node.get(word)

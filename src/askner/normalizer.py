@@ -8,8 +8,10 @@ Rules 1-7 rewrite a fragment on its own and can be run one at a time with
 ``apply_rule``; rule 8 reads the evidence sentence, so only ``normalize``
 applies it. Rules 1-7 read nothing but the phrase, the ``RuleSet`` and the
 type label, so a ``RuleSet`` runs them once per distinct (phrase, label) and
-keeps the fragments; in a ``generate`` run that is once per distinct phrase
-per sub-question. Rule 8 runs for every occurrence.
+keeps the fragments. Rule 8 runs on every ``normalize`` call. ``generate``
+calls ``normalize`` once per distinct phrase of each sub-question, or, when
+the sub-question enables rule 8, once per distinct (phrase, evidence text),
+and counts the result once per hit.
 
 Rules, in the fixed order they run:
 
@@ -250,7 +252,8 @@ def normalize(
     label itself. Order within the output follows rule 1's split order.
     Rules 1-7 come from ``rules.fragments``, so they run once per distinct
     (surface, type label) per rule set; rule 8 reads ``evidence`` on every
-    call.
+    call. The result depends only on the surface, the evidence text, the
+    rules and the labels, so hits alike in those need one call between them.
     """
     label = output_type if output_type is not None else type_label
     rule_8 = rules.is_enabled(8)

@@ -304,7 +304,7 @@ class AveragedPerceptronTagger:
         After a failed restore the tagger holds no usable state."""
         try:
             obj = json.loads(state)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, RecursionError) as e:
             raise DataError(f"checkpoint: invalid JSON: {e}") from None
         try:
             self.tags = obj["tags"]

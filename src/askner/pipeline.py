@@ -21,6 +21,7 @@ import logging
 import os
 import shutil
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -63,6 +64,7 @@ from .retrieval import (
     Corpus,
     CorpusSentence,
     RetrievedPhrase,
+    SentenceBudgetResult,
     check_evidence,
     collect_training_sentences,
     fetch_remote,
@@ -301,6 +303,52 @@ def _load_kept(
     return corpus
 
 
+def _pool(
+    budgets: Sequence[tuple[SubQuestion, SentenceBudgetResult]],
+    corpus: Mapping[str, CorpusSentence],
+    stopwords: frozenset[str],
+    min_length: int,
+    quality: Sequence[str],
+    counts: dict[str, int],
+) -> PseudoDictionary:
+    """Normalize every question's kept hits and pool them into the dictionary.
+
+    A question's hits that normalize alike form one group: hits with the
+    same surface, and, when the question enables rule 8, the same evidence
+    text. Each group is normalized once, from its first hit and that hit's
+    sentence, and its fragments count once per hit in it. Groups keep the
+    order of their first hits, so entries and rule 8's first claims come in
+    the order the hits would give them one by one. Adds the fragments made,
+    counted per hit, to ``counts["normalized_phrases"]``.
+    """
+    counts["normalized_phrases"] = 0
+
+    def weighted() -> Iterator[tuple[NormalizedPhrase, int]]:
+        for q, budget in budgets:
+            ruleset = RuleSet.from_ids(q.rules, stopwords, min_length)
+            hits = budget.kept_phrases
+            if ruleset.is_enabled(8):
+                keys = [(p.surface, corpus[p.sentence_id].text) for p in hits]
+            else:
+                keys = [p.surface for p in hits]
+            sizes = Counter(keys)  # in first-occurrence order
+            first = dict(zip(reversed(keys), reversed(hits)))  # key -> its first hit
+            for key, size in sizes.items():
+                phrase = first[key]
+                found = normalize(
+                    phrase,
+                    corpus[phrase.sentence_id],
+                    ruleset,
+                    q.type_label,
+                    output_type=q.output_type,
+                )
+                counts["normalized_phrases"] += size * len(found)
+                for np in found:
+                    yield np, size
+
+    return build_dictionary(weighted(), quality)
+
+
 def _pooled_dictionary(
     config: PipelineConfig,
     questions: Sequence[SubQuestion],
@@ -310,7 +358,7 @@ def _pooled_dictionary(
 ) -> tuple[PseudoDictionary, list[CorpusSentence], list[dict], str | None]:
     """Retrieve (or replay) every question's hits, walk their budgets, read
     the kept sentences, and pool the hits' normalized phrases into the
-    dictionary as they are made.
+    dictionary (see ``_pool``).
 
     Returns the dictionary, the kept sentences in corpus order, the
     manifest's per-question rows and, in remote mode, the results file's
@@ -358,23 +406,7 @@ def _pooled_dictionary(
     counts["corpus_sentences"] = corpus.total
     log.info("generate: corpus %d sentences", corpus.total)
 
-    counts["normalized_phrases"] = 0
-
-    def normalized() -> Iterator[NormalizedPhrase]:
-        for q, budget in budgets:
-            ruleset = RuleSet.from_ids(q.rules, stopwords, config.min_length)
-            for phrase in budget.kept_phrases:
-                found = normalize(
-                    phrase,
-                    corpus[phrase.sentence_id],
-                    ruleset,
-                    q.type_label,
-                    output_type=q.output_type,
-                )
-                counts["normalized_phrases"] += len(found)
-                yield from found
-
-    dictionary = build_dictionary(normalized(), quality)
+    dictionary = _pool(budgets, corpus, stopwords, config.min_length, quality, counts)
     log.info("generate: kept %d sentences, %d phrases, %d normalized",
              counts["kept_sentences"], counts["kept_phrases"], counts["normalized_phrases"])
     results_text = serialize_results(groups) if mode != "replay" else None

@@ -154,11 +154,14 @@ def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[object, s
     right before its final newline. Any other line (leading or trailing
     whitespace, a BOM, extra data, blank, not JSON) is handed to
     ``json.loads``, so every record is the one ``json.loads`` gives and
-    every error is the one it raises."""
+    every error is the one it raises. A line ``json.loads`` cannot decode is
+    a DataError: bad JSON, an integer longer than Python converts (4,300
+    digits by default), or arrays and objects nested deeper than the
+    decoder's recursion limit."""
     for lineno, line in enumerate(lines, 1):
         try:
             obj, end = _raw_decode(line)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, RecursionError):
             whole = False
         else:
             whole = end == len(line) or line[end:] == "\n"
@@ -167,7 +170,7 @@ def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[object, s
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:
                 raise DataError(f"{source}:{lineno}: invalid JSON: {e}") from None
         yield obj, f"{source}:{lineno}"
 
@@ -458,7 +461,7 @@ def fetch_remote(
             raise DataError(f"{source}: unexpected status {resp.status_code}")
         try:
             payload = resp.json()
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise DataError(f"{source}: response is not JSON: {e}") from None
         if not isinstance(payload, list):
             raise DataError(f"{source}: expected a JSON array of result records")

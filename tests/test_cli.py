@@ -401,6 +401,24 @@ sys.exit(rc)
     assert proc.stdout == "gc enabled: True\n"
 
 
+@pytest.mark.parametrize(
+    "line",
+    ['{"question_id": "city:city", "rank": 1' + "0" * 4999 + "}",
+     "[" * 100_000 + "]" * 100_000],
+    ids=["5000-digit-rank", "deep-nesting"],
+)
+def test_generate_on_a_results_line_json_cannot_decode_is_data_error(tmp_path, caplog, line):
+    data = tmp_path / "demo"
+    shutil.copytree(DEMO, data)
+    with open(data / "results.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    out = tmp_path / "out"
+    rc = main(["generate", "--config", str(data / "config.yaml"), "--out", str(out)])
+    assert rc == 2
+    assert f"{data / 'results.jsonl'}:20: invalid JSON: " in caplog.text
+    assert not out.exists()
+
+
 def test_a_missing_input_file_is_config_error(tmp_path, caplog):
     missing = tmp_path / "absent.conll"
     rc = main(["eval", str(missing), str(DEMO / "gold.conll")])

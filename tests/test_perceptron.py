@@ -138,6 +138,17 @@ def test_restore_rejects_a_malformed_state_naming_the_fault(state, message):
         AveragedPerceptronTagger().restore(state)
 
 
+@pytest.mark.parametrize(
+    "state, message",
+    [(b"1" * 5000, "Exceeds the limit (4300 digits)"),
+     (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded")],
+    ids=["long-int", "deep-nesting"],
+)
+def test_restore_rejects_json_the_decoder_refuses(state, message):
+    with pytest.raises(DataError, match="^" + re.escape(f"checkpoint: invalid JSON: {message}")):
+        AveragedPerceptronTagger().restore(state)
+
+
 def test_training_is_cumulative_after_restore():
     a = AveragedPerceptronTagger()
     a.train(_dataset(), steps=10, seed=5)

@@ -373,14 +373,16 @@ def test_result_record_checks_match_the_reference(rec):
 
 def _ref_jsonl_records(lines, source):
     """The line reader as it was before its ``raw_decode`` fast path: every
-    line through ``json.loads``."""
+    line through ``json.loads``. Every error ``json.loads`` raises for a line
+    is a DataError, an integer too long to convert and nesting too deep to
+    decode included."""
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         where = f"{source}:{lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise DataError(f"{where}: invalid JSON: {e}") from None
         yield obj, where
 
@@ -461,8 +463,35 @@ def _jsonl_lines(draw):
 @example(["{}\n", "{}x"])
 @example(["{}\n", "{oops\n"])
 @example(["{}\n", "1" * 4301 + "\n"])
+@example(["{}\n", "[" * 100_000 + "]" * 100_000 + "\n"])
+@example(["{}\n", " " + "[" * 100_000 + "\n"])
 def test_jsonl_records_match_json_loads_line_by_line(lines):
     assert _read_all(jsonl_records, lines) == _read_all(_ref_jsonl_records, lines)
+
+
+# A value Python's decoder refuses although it may be valid JSON: an integer
+# past the int-string digit limit, and nesting past the recursion limit.
+_UNDECODABLE = {
+    "long-int": ("1" * 5000, "Exceeds the limit (4300 digits)"),
+    "deep-nesting": ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNDECODABLE))
+@pytest.mark.parametrize("source", ["replay", "remote"])
+def test_undecodable_json_is_a_data_error(tmp_path, monkeypatch, source, kind):
+    text, reason = _UNDECODABLE[kind]
+    if source == "replay":
+        path = tmp_path / "results.jsonl"
+        path.write_text(json.dumps(phrase(rank=1).to_record()) + "\n" + text + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: invalid JSON: {reason}")):
+            read_results(path)
+    else:
+        reply = SimpleNamespace(status_code=200, json=lambda: json.loads(text))
+        monkeypatch.setattr("requests.get", lambda *args, **kwargs: reply)
+        with pytest.raises(DataError, match=re.escape(f"response is not JSON: {reason}")):
+            fetch_remote("Which city?", "http://localhost:9", 2, question_id="t:q", attempts=1)
 
 
 # -- results ingestion ------------------------------------------------------
