@@ -23,15 +23,23 @@ no other entry of its dataset, so the self-training loop pseudo-labels only
 those and passes ``None`` for the rest.
 
 ``snapshot`` writes the whole state as one canonical JSON table, which is
-also the checkpoint file ``selftrain`` writes; ``restore`` reads it back.
+also the checkpoint file ``selftrain`` writes; ``restore`` reads it back and
+checks every value's type. ``snapshot`` writes each row straight to text
+rather than building a list per row for ``json.dumps``: the row lists cost
+more to build than to encode, and at scale they set off cyclic garbage
+collections. The bytes are still the ones ``json.dumps`` gives, because
+``restore``'s type check keeps out every value ``json.dumps`` would write
+another way (see ``snapshot``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring_ascii as encode_string
 from typing import Sequence
 
 from .annotator import LabeledSentence
@@ -103,17 +111,40 @@ def _successors(tags: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
     return {prev: tuple(t for t in tags if _legal(prev, t)) for prev in (START, *tags)}
 
 
+# A finite number lies in [-_FLOAT_MAX, _FLOAT_MAX]; NaN, the infinities and an
+# integer too large for a float do not.
+_FLOAT_MAX = sys.float_info.max
+_ROW_FIELDS = ("feature", "tag", "weight", "total", "stamp")
+
+
+def _field_fault(field: str, value: object) -> str | None:
+    """What a params row's ``field`` should be, if ``value`` is not that:
+    feature and tag are strings, weight and total finite numbers, stamp an
+    integer. A boolean is none of these."""
+    if field in ("feature", "tag"):
+        return None if type(value) is str else "a string"
+    if field == "stamp":
+        return None if type(value) is int else "an integer"
+    finite = type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+    return None if finite else "a finite number"
+
+
 def _check_state(obj: object) -> None:
     """Raise DataError naming the first fault ``restore`` met in a decoded
-    state: not an object, a missing field, params not an array, or a params
-    row that does not unpack into five fields or whose feature or tag is an
-    array or an object."""
+    state: not an object, a missing field, tags not an array of strings,
+    ticks not an integer, params not an array, a params row that does not
+    unpack into five fields or whose feature or tag is an array or an
+    object, or a row field of the wrong type (see ``_field_fault``)."""
     if not isinstance(obj, dict):
         raise DataError(f"checkpoint: expected an object, got {type(obj).__name__}")
     for field in ("tags", "ticks", "params"):
         if field not in obj:
             raise DataError(f"checkpoint: missing field {field!r}")
-    params = obj["params"]
+    tags, ticks, params = obj["tags"], obj["ticks"], obj["params"]
+    if type(tags) is not list or not all(type(tag) is str for tag in tags):
+        raise DataError(f"checkpoint: tags must be an array of strings, got {tags!r}")
+    if type(ticks) is not int:
+        raise DataError(f"checkpoint: ticks must be an integer, got {ticks!r}")
     if not isinstance(params, list):
         raise DataError(f"checkpoint: params must be an array, got {type(params).__name__}")
     for i, row in enumerate(params):
@@ -122,9 +153,14 @@ def _check_state(obj: object) -> None:
             hash((feat, tag))
         except (TypeError, ValueError):
             raise DataError(
-                f"checkpoint: params row {i} must be [feature, tag, weight, total, stamp], "
-                f"got {row!r}"
+                f"checkpoint: params row {i} must be [{', '.join(_ROW_FIELDS)}], got {row!r}"
             ) from None
+        for field, value in zip(_ROW_FIELDS, row):
+            want = _field_fault(field, value)
+            if want:
+                raise DataError(
+                    f"checkpoint: params row {i} {field} must be {want}, got {value!r}"
+                )
 
 
 class AveragedPerceptronTagger:
@@ -288,31 +324,58 @@ class AveragedPerceptronTagger:
         """Canonical JSON, so equal states give equal bytes: ``{"tags",
         "ticks", "params"}``, with one ``[feat, tag, weight, total, stamp]``
         row per parameter, sorted by (feat, tag). ``_bump`` writes a weight
-        and its accumulator under the same key, so one row holds both."""
-        params = [
-            [feat, tag, w, *self._acc[feat, tag]]
-            for feat, row in sorted(self.weights.items())
-            for tag, w in sorted(row.items())
-        ]
-        state = {"tags": self.tags, "ticks": self._ticks, "params": params}
-        return json.dumps(state, separators=(",", ":")).encode("ascii")
+        and its accumulator under the same key, so one row holds both.
+
+        Each row is written straight to text, with no list built for it:
+        strings through ``json``'s own ASCII string encoder, numbers as
+        their ``repr``. ``json.dumps(state, separators=(",", ":"))`` makes
+        the same calls for a ``str``, an ``int`` and a finite ``float``, and
+        training and ``restore`` admit no other value (no boolean, NaN or
+        infinity), so the bytes are the ones it would give."""
+        acc = self._acc
+        rows = []
+        for feat in sorted(self.weights):
+            row = self.weights[feat]
+            name = encode_string(feat)
+            for tag in sorted(row):
+                total, stamp = acc[feat, tag]
+                rows.append(f"[{name},{encode_string(tag)},{row[tag]!r},{total!r},{stamp!r}]")
+        tags = ",".join(map(encode_string, self.tags))
+        params = ",".join(rows)
+        return f'{{"tags":[{tags}],"ticks":{self._ticks!r},"params":[{params}]}}'.encode("ascii")
 
     def restore(self, state: bytes) -> None:
-        """Load a ``snapshot`` state. A state this loop cannot load (not
-        JSON, not an object, a missing field, a malformed params row) raises
-        DataError naming the fault; the values themselves are not checked.
-        After a failed restore the tagger holds no usable state."""
+        """Load a ``snapshot`` state. A state this loop cannot load raises
+        DataError naming the fault (see ``_check_state``): not JSON, not an
+        object, a missing field, a malformed params row or a value of the
+        wrong type, such as a NaN weight or a boolean stamp. A well-formed
+        state is checked in one pass as it is read; any other is checked
+        field by field, which words the first fault. A failed restore
+        leaves the tagger as it was."""
         try:
             obj = json.loads(state)
         except (TypeError, ValueError, RecursionError) as e:
             raise DataError(f"checkpoint: invalid JSON: {e}") from None
         try:
-            self.tags = obj["tags"]
-            self._ticks = obj["ticks"]
-            self.weights, self._acc = {}, {}
-            for feat, tag, w, total, stamp in obj["params"]:
-                self.weights.setdefault(feat, {})[tag] = w
-                self._acc[feat, tag] = (total, stamp)
+            tags, ticks, params = obj["tags"], obj["ticks"], obj["params"]
+            if not (
+                type(tags) is list and all(type(tag) is str for tag in tags)
+                and type(ticks) is int
+            ):
+                raise TypeError
+            weights: dict[str, dict[str, float]] = {}
+            acc: dict[tuple[str, str], tuple[float, int]] = {}
+            lo, hi = -_FLOAT_MAX, _FLOAT_MAX
+            for feat, tag, w, total, stamp in params:
+                if not (
+                    type(feat) is str and type(tag) is str and type(stamp) is int
+                    and (type(w) is float or type(w) is int) and lo <= w <= hi
+                    and (type(total) is float or type(total) is int) and lo <= total <= hi
+                ):
+                    raise TypeError
+                weights.setdefault(feat, {})[tag] = w
+                acc[feat, tag] = (total, stamp)
         except (KeyError, TypeError, ValueError):
             _check_state(obj)
             raise
+        self.tags, self._ticks, self.weights, self._acc = tags, ticks, weights, acc

@@ -526,6 +526,7 @@ class SelfTrainOutcome:
     rounds: int
 
 
+@_gc_paused()
 def cmd_selftrain(
     dataset_path: Path,
     validation_path: Path,
@@ -539,6 +540,12 @@ def cmd_selftrain(
     The teacher pseudo-labels ``unlabeled_path`` (a JSONL corpus) when given;
     otherwise it re-labels the training sentences themselves. A separate pool
     helps most when it contains mentions the pseudo-dictionary missed.
+
+    The cyclic collector is paused for the whole command, as in
+    ``cmd_generate``, and the forked validation scorer inherits the pause.
+    Each round's ``restore`` builds a model's worth of maps and tuples that
+    hold no reference cycles, and the collector would walk them again and
+    again as they pile up.
     """
     schedule = config.selftrain
     if schedule is None:

@@ -61,6 +61,15 @@ def visit_order(n: int, steps: int, seed: int) -> list[int]:
     over ``n`` sentences. Each pass is one ``random.Random(seed).sample`` of
     ``range(n)``, reshuffled per pass; the last pass is cut at ``steps``.
 
+    Only the indices of the last pass that are visited are drawn.
+    ``sample(range(n), n)`` picks its ``i``-th index as ``j =
+    randrange(n - i)`` from a pool, then moves the pool's last unpicked
+    index into slot ``j``; a pick never depends on a later one, so its
+    first ``m`` picks are the ``m`` this draws. A dict holds only the pool
+    slots that changed, so a pass cut at ``m`` costs ``m`` draws, not
+    ``n``, which matters when a round's ``steps`` is much smaller than the
+    pool it walks.
+
     Raises ``ValueError`` for negative ``steps``, or for ``steps > 0`` on an
     empty dataset, which has nothing to visit.
     """
@@ -73,13 +82,22 @@ def visit_order(n: int, steps: int, seed: int) -> list[int]:
 def _visit_order(n: int, steps: int, seed: int) -> tuple[int, ...]:
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if not n and steps > 0:
-        raise ValueError("cannot train on an empty dataset")
+    if not n:
+        if steps > 0:
+            raise ValueError("cannot train on an empty dataset")
+        return ()
     rng = random.Random(seed)
+    passes, rest = divmod(steps, n)
     order: list[int] = []
-    while len(order) < steps:
+    for _ in range(passes):
         order += rng.sample(range(n), n)
-    return tuple(order[:steps])
+    moved: dict[int, int] = {}
+    for i in range(rest):
+        j = rng.randrange(n - i)
+        last = n - i - 1
+        order.append(moved.get(j, j))
+        moved[j] = moved.get(last, last)
+    return tuple(order)
 
 
 class TaggerInterface(Protocol):
@@ -112,10 +130,13 @@ class SelfTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # A boolean is an int to isinstance, but not a step count or a seed.
         for name in ("t_begin", "t_update", "max_iterations"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
     @classmethod
     def from_preset(

@@ -41,6 +41,7 @@ from askner.perceptron import AveragedPerceptronTagger
 from askner.pipeline import cmd_generate
 from askner.querygen import build_question_set
 from askner.retrieval import fetch_remote, read_results, serialize_results
+from askner.selftrain import SelfTrainConfig
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
@@ -527,6 +528,65 @@ def test_generate_leaves_the_garbage_collector_as_it_found_it(
         (gc.enable if was else gc.disable)()
     assert during == [False]
     assert after is enabled
+
+
+class _CollectorCheckingTagger(AveragedPerceptronTagger):
+    """Fails any restore made while the cyclic collector runs, in this
+    process or in the forked scorer."""
+
+    def restore(self, state):
+        if gc.isenabled():
+            raise AssertionError("restore ran with the cyclic collector enabled")
+        super().restore(state)
+
+
+@pytest.mark.parametrize("bad_line", [None, "{broken"])
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_selftrain_pauses_the_garbage_collector_and_restores_it(
+    tmp_path, monkeypatch, cpus, enabled, bad_line
+):
+    # selftrain pauses the cyclic collector for the whole run, the forked
+    # scorer included, and afterwards, on success or on a data error, it is
+    # on exactly if it was before.
+    if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the scorer is forked")
+    config = replace(
+        load_config(SYNTH / "config.yaml"),
+        selftrain=SelfTrainConfig(t_begin=20, t_update=10, max_iterations=30, seed=1),
+    )
+    unlabeled = tmp_path / "unlabeled.jsonl"
+    unlabeled.write_text(
+        config.corpus_path.read_text(encoding="utf-8") + (bad_line or "") + "\n",
+        encoding="utf-8",
+    )
+    during = []
+    run_self_training = pipeline.run_self_training
+
+    def recording(*args, **kwargs):
+        during.append((gc.isenabled(), kwargs["score_in_worker"]))
+        return run_self_training(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_self_training", recording)
+    monkeypatch.setattr(pipeline, "AveragedPerceptronTagger", _CollectorCheckingTagger)
+    monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+    args = (SYNTH / "gold.conll", SYNTH / "validation.conll", config, tmp_path / "out", unlabeled)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if bad_line is None:
+            outcome = pipeline.cmd_selftrain(*args)
+        else:
+            with pytest.raises(DataError, match=re.escape(f"{unlabeled}:") + r"\d+: invalid JSON"):
+                pipeline.cmd_selftrain(*args)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == ([] if bad_line else [(False, cpus > 1)])
+    if bad_line is None:
+        assert outcome.rounds == 3
+    assert after is enabled
+    assert multiprocessing.active_children() == []
 
 
 # Each command's artifacts in the order it writes them, manifest last.

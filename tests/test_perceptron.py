@@ -1,8 +1,11 @@
 import json
+import math
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from askner.errors import DataError
 from askner.metrics import extract_entities
@@ -115,6 +118,18 @@ def test_equal_states_give_equal_bytes():
 _ROW = ["w=oslo", "B-LOC", 1.0, 2.0, 0]
 
 
+def _state(**changes):
+    state = {"tags": ["O", "B-LOC"], "ticks": 3, "params": [_ROW, ["w=oslo", "O", -1.0, 0.5, 2]]}
+    state.update(changes)
+    return state
+
+
+def _row(field, value):
+    row = ["w=lima", "B-LOC", 1.0, 2.0, 1]
+    row[["feature", "tag", "weight", "total", "stamp"].index(field)] = value
+    return row
+
+
 @pytest.mark.parametrize(
     "state, message",
     [
@@ -129,13 +144,56 @@ _ROW = ["w=oslo", "B-LOC", 1.0, 2.0, 0]
          "params row 1 must be [feature, tag, weight, total, stamp], got ['w=oslo', 'O']"),
         ({"tags": ["O"], "ticks": 0, "params": [_ROW, [["w=oslo"], "O", 1.0, 1.0, 0]]},
          "params row 1 must be [feature, tag, weight, total, stamp], got [['w=oslo'], 'O'"),
+        (_state(tags="O"), "tags must be an array of strings, got 'O'"),
+        (_state(tags=["O", 5]), "tags must be an array of strings, got ['O', 5]"),
+        (_state(tags=["O", None]), "tags must be an array of strings, got ['O', None]"),
+        (_state(ticks=True), "ticks must be an integer, got True"),
+        (_state(ticks=3.0), "ticks must be an integer, got 3.0"),
+        (_state(ticks="3"), "ticks must be an integer, got '3'"),
+        (_state(ticks=None), "ticks must be an integer, got None"),
+        (_state(params={"abcde": 1}), "params must be an array, got dict"),
+        (_state(params=[_ROW, _row("feature", 5)]), "params row 1 feature must be a string, got 5"),
+        (_state(params=[_row("feature", True)]), "params row 0 feature must be a string, got True"),
+        (_state(params=[_row("feature", None)]), "params row 0 feature must be a string, got None"),
+        (_state(params=[_row("tag", 1.5)]), "params row 0 tag must be a string, got 1.5"),
+        (_state(params=[_row("weight", math.nan)]),
+         "params row 0 weight must be a finite number, got nan"),
+        (_state(params=[_row("weight", math.inf)]),
+         "params row 0 weight must be a finite number, got inf"),
+        (_state(params=[_row("weight", -math.inf)]),
+         "params row 0 weight must be a finite number, got -inf"),
+        (_state(params=[_row("weight", True)]),
+         "params row 0 weight must be a finite number, got True"),
+        (_state(params=[_row("weight", "1.0")]),
+         "params row 0 weight must be a finite number, got '1.0'"),
+        (_state(params=[_row("weight", None)]),
+         "params row 0 weight must be a finite number, got None"),
+        (_state(params=[_row("weight", [1.0])]),
+         "params row 0 weight must be a finite number, got [1.0]"),
+        (_state(params=[_row("weight", 10**400)]),
+         f"params row 0 weight must be a finite number, got {10**400}"),
+        # 1e400 decodes to inf.
+        (json.dumps(_state(params=[_row("weight", 0.5)])).replace("0.5", "1e400").encode(),
+         "params row 0 weight must be a finite number, got inf"),
+        (_state(params=[_row("total", math.nan)]),
+         "params row 0 total must be a finite number, got nan"),
+        (_state(params=[_row("total", False)]),
+         "params row 0 total must be a finite number, got False"),
+        (_state(params=[_row("stamp", 1.0)]), "params row 0 stamp must be an integer, got 1.0"),
+        (_state(params=[_row("stamp", True)]), "params row 0 stamp must be an integer, got True"),
+        (_state(params=[_row("stamp", "1")]), "params row 0 stamp must be an integer, got '1'"),
     ],
 )
 def test_restore_rejects_a_malformed_state_naming_the_fault(state, message):
     if isinstance(state, dict):
         state = json.dumps(state).encode()
+    tagger = AveragedPerceptronTagger()
+    tagger.train(_dataset(), steps=5, seed=1)
+    before = tagger.snapshot()
     with pytest.raises(DataError, match="^" + re.escape(f"checkpoint: {message}")):
-        AveragedPerceptronTagger().restore(state)
+        tagger.restore(state)
+    # A failed restore leaves the tagger as it was.
+    assert tagger.snapshot() == before
 
 
 @pytest.mark.parametrize(
@@ -147,6 +205,97 @@ def test_restore_rejects_a_malformed_state_naming_the_fault(state, message):
 def test_restore_rejects_json_the_decoder_refuses(state, message):
     with pytest.raises(DataError, match="^" + re.escape(f"checkpoint: invalid JSON: {message}")):
         AveragedPerceptronTagger().restore(state)
+
+
+def _ref_snapshot(tagger):
+    """``snapshot`` as it was before it wrote rows straight to text: a list
+    per row, then ``json.dumps``."""
+    params = [
+        [feat, tag, w, *tagger._acc[feat, tag]]
+        for feat, row in sorted(tagger.weights.items())
+        for tag, w in sorted(row.items())
+    ]
+    state = {"tags": tagger.tags, "ticks": tagger._ticks, "params": params}
+    return json.dumps(state, separators=(",", ":")).encode("ascii")
+
+
+# Feature and tag text the encoder must escape: quotes, backslashes, control
+# characters, non-ASCII letters, characters outside the BMP and lone
+# surrogates.
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é漢\U0001f600\ud800\udfff'),
+        st.characters(),
+    ),
+    max_size=8,
+)
+_FINITE = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.integers(-(10**300), 10**300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 123456789.0]),
+)
+
+
+@st.composite
+def _states(draw):
+    keys = draw(st.lists(st.tuples(_TEXT, _TEXT), unique=True, max_size=12))
+    params = [
+        [feat, tag, draw(_FINITE), draw(_FINITE), draw(st.integers(-(10**20), 10**20))]
+        for feat, tag in keys
+    ]
+    draw(st.randoms()).shuffle(params)
+    tags = draw(st.lists(_TEXT, max_size=4))
+    return {"tags": tags, "ticks": draw(st.integers(0, 10**20)), "params": params}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_states())
+def test_snapshot_of_a_restored_state_equals_json_dumps(state):
+    tagger = AveragedPerceptronTagger()
+    tagger.restore(json.dumps(state).encode("ascii"))
+    assert tagger.snapshot() == _ref_snapshot(tagger)
+    state["params"].sort(key=lambda row: row[:2])
+    assert tagger.snapshot() == json.dumps(state, separators=(",", ":")).encode("ascii")
+
+
+_WORDS = st.text(
+    st.one_of(st.sampled_from('"\\\né漢\U0001f600\ud800'), st.characters()),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(_WORDS, st.sampled_from(["O", "B-é", 'B-"x', "I-é"])),
+                 min_size=1, max_size=5),
+        min_size=1, max_size=5,
+    ),
+    st.integers(1, 30),
+    st.integers(0, 2**32),
+)
+def test_snapshot_after_training_and_after_restore_equals_json_dumps(rows, steps, seed):
+    data = [
+        labeled(f"h{i}", [w for w, _ in row], [tag for _, tag in row])
+        for i, row in enumerate(rows)
+    ]
+    tagger = AveragedPerceptronTagger()
+    tagger.train(data, steps=steps, seed=seed)
+    blob = tagger.snapshot()
+    assert blob == _ref_snapshot(tagger)
+    restored = AveragedPerceptronTagger()
+    restored.restore(blob)
+    assert restored.snapshot() == blob == _ref_snapshot(restored)
+    # Integer weights from a checkpoint, then training on top of them.
+    state = json.loads(blob)
+    for row in state["params"][::2]:
+        row[2] = round(row[2])
+        row[3] = int(row[3]) * 10**12
+    restored.restore(json.dumps(state).encode())
+    assert restored.snapshot() == _ref_snapshot(restored)
+    restored.train(data, steps=steps, seed=seed + 1)
+    assert restored.snapshot() == _ref_snapshot(restored)
 
 
 def test_training_is_cumulative_after_restore():

@@ -2,10 +2,13 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 import signal
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from askner.annotator import LabeledSentence
 from askner.errors import ConfigError, InternalInvariantError
@@ -138,6 +141,26 @@ def test_config_validation():
         SelfTrainConfig(t_begin=1, t_update=-2, max_iterations=1)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"t_begin": True}, "t_begin must be a positive integer, got True"),
+        ({"t_update": True}, "t_update must be a positive integer, got True"),
+        ({"max_iterations": True}, "max_iterations must be a positive integer, got True"),
+        ({"t_update": 2.0}, "t_update must be a positive integer, got 2.0"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"seed": None}, "seed must be an integer, got None"),
+    ],
+)
+def test_config_rejects_booleans_and_non_integer_seeds(changes, message):
+    fields = {"t_begin": 2, "t_update": 2, "max_iterations": 4, "seed": 0, **changes}
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        SelfTrainConfig(**fields)
+    assert SelfTrainConfig(t_begin=2, t_update=2, max_iterations=4, seed=-3).seed == -3
+
+
 def test_schedule_presets_table():
     assert SCHEDULE_PRESETS["conll2003"] == (900, 300)
     assert SCHEDULE_PRESETS["wikigold"] == (500, 300)
@@ -183,6 +206,44 @@ def _inline_walk(n, steps, seed):
 def test_visit_order_matches_the_inline_walk(n, steps):
     for seed in (0, 1, 17, 12345):
         assert visit_order(n, steps, seed) == _inline_walk(n, steps, seed)
+
+
+def _ref_visit_order(n, steps, seed):
+    """``visit_order`` as it was before it drew only the visited part of
+    its last pass: whole passes, then the walk cut at ``steps``."""
+    rng = random.Random(seed)
+    order = []
+    while len(order) < steps:
+        order += rng.sample(range(n), n)
+    return order[:steps]
+
+
+@st.composite
+def _walks(draw):
+    """(n, steps, seed): one pass cut short, whole passes, or whole passes
+    and a part; the large pools are the paper's size with a round's steps."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(41, 40_000)))
+    steps = draw(
+        st.one_of(
+            st.integers(0, n - 1),
+            st.integers(1, 4).map(lambda k: k * n),
+            st.integers(n, 3 * n + 7) if n <= 40 else st.integers(n, n + 300),
+        )
+    )
+    return n, steps, draw(st.integers(-(2**40), 2**40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walks())
+@example((0, 0, 0))
+@example((1, 0, 0))
+@example((1, 5, 3))
+@example((35_000, 300, 1))
+@example((7, 7, 2))
+@example((7, 21, 2))
+@example((7, 23, 2))
+def test_visit_order_matches_whole_passes_cut_at_steps(walk):
+    assert visit_order(*walk) == _ref_visit_order(*walk)
 
 
 def test_visit_order_returns_a_fresh_list_each_call():
