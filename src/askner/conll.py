@@ -16,6 +16,7 @@ from typing import Iterable
 from .annotator import LabeledSentence
 from .errors import DataError
 from .metrics import extract_entities
+from .retrieval import not_utf8
 
 
 def format_conll(sentences: Iterable[LabeledSentence]) -> str:
@@ -71,4 +72,12 @@ def parse_conll(text: str, source: str = "<conll>") -> list[LabeledSentence]:
 
 
 def read_conll(path: str | Path) -> list[LabeledSentence]:
-    return parse_conll(Path(path).read_text(encoding="utf-8"), source=str(path))
+    r"""Read a CoNLL file as text mode reads it: UTF-8, with "\r\n" and a
+    lone "\r" read as "\n". A file that is not UTF-8 is a DataError naming
+    the line of its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise not_utf8(str(path), 1, data, e) from None
+    return parse_conll(text.replace("\r\n", "\n").replace("\r", "\n"), source=str(path))

@@ -132,9 +132,11 @@ def _field_fault(field: str, value: object) -> str | None:
 def _check_state(obj: object) -> None:
     """Raise DataError naming the first fault ``restore`` met in a decoded
     state: not an object, a missing field, tags not an array of strings,
-    ticks not an integer, params not an array, a params row that does not
-    unpack into five fields or whose feature or tag is an array or an
-    object, or a row field of the wrong type (see ``_field_fault``)."""
+    tags that do not start with "O" or repeat a tag, ticks not an integer,
+    params not an array, a params row that does not unpack into five fields
+    or whose feature or tag is an array or an object, a row field of the
+    wrong type (see ``_field_fault``), and, once every row has its form, a
+    row whose tag is not in tags."""
     if not isinstance(obj, dict):
         raise DataError(f"checkpoint: expected an object, got {type(obj).__name__}")
     for field in ("tags", "ticks", "params"):
@@ -143,6 +145,11 @@ def _check_state(obj: object) -> None:
     tags, ticks, params = obj["tags"], obj["ticks"], obj["params"]
     if type(tags) is not list or not all(type(tag) is str for tag in tags):
         raise DataError(f"checkpoint: tags must be an array of strings, got {tags!r}")
+    if not tags or tags[0] != "O":
+        raise DataError(f'checkpoint: tags must start with "O", got {tags!r}')
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise DataError(f"checkpoint: tags repeat {tag!r}")
     if type(ticks) is not int:
         raise DataError(f"checkpoint: ticks must be an integer, got {ticks!r}")
     if not isinstance(params, list):
@@ -161,6 +168,9 @@ def _check_state(obj: object) -> None:
                 raise DataError(
                     f"checkpoint: params row {i} {field} must be {want}, got {value!r}"
                 )
+    for i, (_, tag, _, _, _) in enumerate(params):
+        if tag not in tags:
+            raise DataError(f"checkpoint: params row {i} tag {tag!r} is not in tags")
 
 
 class AveragedPerceptronTagger:
@@ -347,8 +357,10 @@ class AveragedPerceptronTagger:
     def restore(self, state: bytes) -> None:
         """Load a ``snapshot`` state. A state this loop cannot load raises
         DataError naming the fault (see ``_check_state``): not JSON, not an
-        object, a missing field, a malformed params row or a value of the
-        wrong type, such as a NaN weight or a boolean stamp. A well-formed
+        object, a missing field, a malformed params row, a value of the
+        wrong type, such as a NaN weight or a boolean stamp, tags that are
+        empty, do not start with "O" or repeat one, or a row whose tag is
+        not in tags, which ``predict`` could not decode. A well-formed
         state is checked in one pass as it is read; any other is checked
         field by field, which words the first fault. A failed restore
         leaves the tagger as it was."""
@@ -360,15 +372,18 @@ class AveragedPerceptronTagger:
             tags, ticks, params = obj["tags"], obj["ticks"], obj["params"]
             if not (
                 type(tags) is list and all(type(tag) is str for tag in tags)
-                and type(ticks) is int
+                and tags and tags[0] == "O" and type(ticks) is int
             ):
+                raise TypeError
+            known = set(tags)
+            if len(known) < len(tags):
                 raise TypeError
             weights: dict[str, dict[str, float]] = {}
             acc: dict[tuple[str, str], tuple[float, int]] = {}
             lo, hi = -_FLOAT_MAX, _FLOAT_MAX
             for feat, tag, w, total, stamp in params:
                 if not (
-                    type(feat) is str and type(tag) is str and type(stamp) is int
+                    type(feat) is str and tag in known and type(stamp) is int
                     and (type(w) is float or type(w) is int) and lo <= w <= hi
                     and (type(total) is float or type(total) is int) and lo <= total <= hi
                 ):

@@ -21,6 +21,7 @@ import logging
 import os
 import shutil
 import tempfile
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -71,6 +72,7 @@ from .retrieval import (
     load_corpus,
     read_results,
     serialize_results,
+    text_lines,
 )
 from .selftrain import format_training_log, run_self_training
 
@@ -166,13 +168,23 @@ def _dump_json(doc: Mapping) -> str:
 
 def _available_cpus() -> int:
     """CPUs this process may run on. It is the width of the remote fetch
-    pool, and ``selftrain`` scores validation in a worker process only when
-    it is above 1: on one CPU the worker would compete with training and
-    add a restore and a pipe transfer per round, so scoring runs inline."""
+    pool, and work moves to a forked process only when it is above 1 (see
+    ``_may_fork``)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
+
+
+def _may_fork() -> bool:
+    """Whether work may move to a forked process: ``selftrain``'s
+    validation scoring, and the back half of a corpus read. It needs a
+    second CPU, since on one the forked process would only compete with
+    this one and add its handoff; ``os.fork``; and no other thread running,
+    since a process forked while another thread holds a lock can deadlock.
+    ``generate``'s fetch threads have all ended before it reads the
+    corpus."""
+    return _available_cpus() > 1 and hasattr(os, "fork") and threading.active_count() == 1
 
 
 def _fetch_groups(
@@ -277,7 +289,8 @@ def _load_kept(
     source: str,
 ) -> Corpus:
     """Read the corpus once, holding only the sentences in ``keep``, and
-    check every hit in ``groups`` against the sentence it names. A hit on a
+    check every hit in ``groups`` against the sentence it names. The read is
+    split over two processes when ``_may_fork`` allows. A hit on a
     sentence that is not kept is checked as that sentence is read; the
     others are checked against the held sentences after the read, in
     results order, so a hit that names no sentence fails there. Hits are
@@ -295,7 +308,7 @@ def _load_kept(
         for p in unkept.pop(sent.sentence_id):
             check(p, sent)
 
-    corpus = load_corpus(path, keep, dict.fromkeys(unkept, check_hits))
+    corpus = load_corpus(path, keep, dict.fromkeys(unkept, check_hits), split=_may_fork())
     for phrases in groups.values():
         for p in phrases:
             if p.sentence_id in keep or p.sentence_id in unkept:
@@ -561,7 +574,7 @@ def cmd_selftrain(
     if not validation:
         raise DataError(f"{validation_path}: no sentences")
     if unlabeled_path is not None:
-        unlabeled = [s.tokens for s in load_corpus(unlabeled_path).values()]
+        unlabeled = [s.tokens for s in load_corpus(unlabeled_path, split=_may_fork()).values()]
         if not unlabeled:
             raise DataError(f"{unlabeled_path}: no sentences")
     else:
@@ -576,7 +589,7 @@ def cmd_selftrain(
         validation=validation,
         tagger_factory=AveragedPerceptronTagger,
         config=schedule,
-        score_in_worker=_available_cpus() > 1 and hasattr(os, "fork"),
+        score_in_worker=_may_fork(),
     )
     for record in result.rounds:
         log.info(
@@ -657,8 +670,10 @@ def cmd_judge_stats(
         raise ConfigError(f"k must be >= 1, got {k}")
     _require_files(results_path, judgments_path)
     groups = read_results(results_path)
-    with open(judgments_path, encoding="utf-8") as fh:
-        judgments = RetrievalJudgments.from_lines(fh, source=str(judgments_path))
+    with open(judgments_path, "rb") as fh:
+        judgments = RetrievalJudgments.from_lines(
+            text_lines(fh, str(judgments_path)), source=str(judgments_path)
+        )
     per_question = {}
     for qid in sorted(groups):
         results = groups[qid]

@@ -16,9 +16,16 @@ reports the same one. A corpus line whose sentence is neither held nor
 visited is checked without being built.
 
 Every JSONL file (corpus, results, and the judgments ``metrics`` reads) is
-read through ``jsonl_records``: ``raw_decode`` takes a line whose value runs
-up to its newline, and ``json.loads`` every other line, so each line reads,
-or fails, as ``json.loads`` makes it.
+read in binary through ``text_lines``, which decodes it line by line as
+text mode would (UTF-8, universal newlines) and names the first line that
+is not UTF-8, and then through ``jsonl_records``: ``raw_decode`` takes a
+line whose value runs up to its newline, and ``json.loads`` every other
+line, so each line reads, or fails, as ``json.loads`` makes it.
+
+``load_corpus`` can read a corpus on two CPUs: a forked reader (module
+``backhalf``) decodes and checks the back half of the file while this
+process reads the front half, and the halves are merged in file order,
+giving what one read gives.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, FetchError
 
@@ -142,12 +149,60 @@ def _check_record(obj: object, where: str) -> None:
     _check_tokens(text, tokens, where)
 
 
+def line_breaks(data: bytes) -> int:
+    r"""How many lines text mode ends in ``data``: each "\n", "\r\n" and lone
+    "\r" ends one."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def not_utf8(source: str, line: int, data: bytes, error: UnicodeDecodeError) -> DataError:
+    """The DataError for ``data``, the bytes from the start of line ``line``
+    of ``source``, failing to decode as UTF-8 with ``error``: it names the
+    line the bad byte is on."""
+    line += line_breaks(data[:error.start])
+    return DataError(
+        f"{source}:{line}: not UTF-8 text ({error.reason}, byte {data[error.start]:#04x})"
+    )
+
+
+def text_lines(fh: BinaryIO, source: str, first: int = 1, size: int = -1) -> Iterator[str]:
+    r"""The lines text mode (UTF-8, universal newlines) reads from the binary
+    file ``fh``, from its position to the end, or over the next ``size``
+    bytes, which must end at a line end. Line ``first`` is the first.
+
+    Each line is decoded alone, so a byte that is not UTF-8 is a DataError
+    naming the line it is on, raised when that line is reached. "\r\n" and
+    a lone "\r" end a line as "\n" does, and read as "\n"."""
+    line_no = first
+    for raw in fh:
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise not_utf8(source, line_no, raw, e) from None
+        if "\r" in line:
+            *ended, tail = line.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            for part in ended:
+                yield part + "\n"
+            if tail:
+                yield tail
+            line_no += len(ended) + bool(tail)
+        else:
+            yield line
+            line_no += 1
+        size -= len(raw)
+        if not size:
+            return
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[object, str]]:
+def jsonl_records(
+    lines: Iterable[str], source: str, first: int = 1
+) -> Iterator[tuple[object, str]]:
     """Yield (decoded record, "<source>:<line number>") for each non-blank
-    line; a line that is not JSON is a DataError naming its location.
+    line, the first line being line ``first``; a line that is not JSON is a
+    DataError naming its location.
 
     A line is decoded with ``raw_decode``, which skips ``json.loads``'
     wrapper, and accepted when its value ends at the end of the line or
@@ -158,7 +213,7 @@ def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[object, s
     a DataError: bad JSON, an integer longer than Python converts (4,300
     digits by default), or arrays and objects nested deeper than the
     decoder's recursion limit."""
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(lines, first):
         try:
             obj, end = _raw_decode(line)
         except (TypeError, ValueError, RecursionError):
@@ -182,10 +237,39 @@ class Corpus(dict):
     total: int = 0
 
 
+def walk_corpus(
+    lines: Iterable[str],
+    source: str,
+    first: int,
+    keep: Container[str] | None,
+    visit: Mapping[str, Callable[[CorpusSentence], None]] | None,
+    surfaces: dict[str, str],
+) -> Iterator[tuple[str, str, CorpusSentence | None, bool, Callable | None]]:
+    """The corpus line walker both halves of a read use. Decode and check
+    each record of ``lines`` and yield ``(where, sentence_id, sentence,
+    held, callback)``: the sentence is built, held ones through the
+    ``surfaces`` memo, only if ``keep`` holds it or ``visit`` has a callback
+    for it. Ids are not checked for repeats here."""
+    for obj, where in jsonl_records(lines, source, first):
+        # the id is read ahead so that only held sentences enter the memo
+        sid = obj.get("sentence_id") if isinstance(obj, dict) else None
+        named = isinstance(sid, str)
+        held = keep is None or (named and sid in keep)
+        callback = visit.get(sid) if visit and named else None
+        if held or callback is not None:
+            sent = sentence_from_record(obj, where, surfaces if held else None)
+        else:
+            _check_record(obj, where)
+            sent = None
+        yield where, sid, sent, held, callback
+
+
 def load_corpus(
     path: str | Path,
     keep: Container[str] | None = None,
     visit: Mapping[str, Callable[[CorpusSentence], None]] | None = None,
+    *,
+    split: bool = False,
 ) -> Corpus:
     """Read a JSONL corpus into an ordered {sentence_id: sentence} map.
 
@@ -195,32 +279,45 @@ def load_corpus(
     without being built and leave just their id behind, for the duplicate
     check. ``visit``, if given, maps sentence ids to callbacks: the sentence
     with such an id, held or not, is built and passed to its callback as it
-    is read. Held sentences share equal token surfaces through a
-    {surface: surface} memo that lives for this call only.
+    is read, in line order. Held sentences share equal token surfaces
+    through a {surface: surface} memo that lives for this call only.
+
+    With ``split`` (which needs ``os.fork``), the file is cut at the first
+    line end after its byte midpoint, and a forked reader (``backhalf``)
+    walks the back half while this process walks the front half; the back
+    half is then merged in line order. The result, and the first error, are
+    the ones a single read gives. A file with nothing after the cut is read
+    here, in one part.
     """
+    source = str(path)
     out = Corpus()
     unkept: set[str] = set()
     surfaces: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for obj, where in jsonl_records(fh, str(path)):
-            # the id is read ahead so that only held sentences enter the memo
-            sid = obj.get("sentence_id") if isinstance(obj, dict) else None
-            named = isinstance(sid, str)
-            held = keep is None or (named and sid in keep)
-            callback = visit.get(sid) if visit and named else None
-            if held or callback is not None:
-                sent = sentence_from_record(obj, where, surfaces if held else None)
-            else:
-                _check_record(obj, where)
-            if sid in out or sid in unkept:
-                raise DataError(f"{where}: duplicate sentence_id {sid!r}")
-            if callback is not None:
-                callback(sent)
-            if held:
-                out[sid] = sent
-            else:
-                unkept.add(sid)
-    out.total = len(out) + len(unkept)
+    back = None
+    if split:
+        from .backhalf import BackHalf  # only a split read compiles and loads it
+
+        back = BackHalf.start(path, source, keep, visit)
+    try:
+        with open(path, "rb") as fh:
+            lines = text_lines(fh, source, size=back.cut if back else -1)
+            for where, sid, sent, held, callback in walk_corpus(
+                lines, source, 1, keep, visit, surfaces
+            ):
+                if sid in out or sid in unkept:
+                    raise DataError(f"{where}: duplicate sentence_id {sid!r}")
+                if callback is not None:
+                    callback(sent)
+                if held:
+                    out[sid] = sent
+                else:
+                    unkept.add(sid)
+        out.total = len(out) + len(unkept)
+        if back is not None:
+            out.total += back.merge(out, unkept, surfaces, visit)
+    finally:
+        if back is not None:
+            back.close()
     return out
 
 
@@ -358,8 +455,8 @@ def read_results(
     """``ingest_results`` on a file. With a corpus, every hit is then checked
     against the sentence it names, in results order, and named as
     "<path> (<question id> rank <rank>)"."""
-    with open(path, encoding="utf-8") as fh:
-        groups = ingest_results(fh, source=str(path))
+    with open(path, "rb") as fh:
+        groups = ingest_results(text_lines(fh, str(path)), source=str(path))
     for phrases in groups.values() if corpus is not None else ():
         for p in phrases:
             where = f"{path} ({p.question_id} rank {p.rank})"

@@ -193,6 +193,112 @@ def test_judge_stats_missing_judgment_is_data_error(tmp_path):
     assert rc == 2
 
 
+# -- reading the corpus in two halves ------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="the corpus's back half is read in a forked process"
+)
+
+
+@needs_fork
+@pytest.mark.parametrize("data", [DEMO, SYNTH], ids=["demo", "synthetic"])
+def test_generate_outputs_do_not_depend_on_a_split_corpus_read(tmp_path, monkeypatch, data):
+    splits = []
+    load_corpus = pipeline.load_corpus
+
+    def recording(*args, **kwargs):
+        splits.append(kwargs["split"])
+        return load_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_corpus", recording)
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"gen-{cpus}"
+        rc = main(["-q", "generate", "--config", str(data / "config.yaml"), "--out", str(out)])
+        assert rc == 0
+        outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert splits == [False, True]
+    assert list(outputs[2]) == ["dataset.conll", "dictionary.tsv", "manifest.json"]
+    assert outputs[1] == outputs[2]
+
+
+@needs_fork
+def test_selftrain_unlabeled_pool_does_not_depend_on_a_split_corpus_read(tmp_path, monkeypatch):
+    config = replace(
+        load_config(SYNTH / "config.yaml"),
+        selftrain=SelfTrainConfig(t_begin=20, t_update=10, max_iterations=30, seed=1),
+    )
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "_available_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"selftrain-{cpus}"
+        pipeline.cmd_selftrain(
+            SYNTH / "gold.conll", SYNTH / "validation.conll", config, out,
+            unlabeled_path=SYNTH / "corpus.jsonl",
+        )
+        outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs[1] == outputs[2]
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(pipeline, "_available_cpus", lambda: 2)
+    assert pipeline._may_fork() is hasattr(os, "fork")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert pipeline._may_fork() is False
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.setattr(pipeline, "_available_cpus", lambda: 1)
+    assert pipeline._may_fork() is False
+
+
+# -- input files that are not UTF-8 ----------------------------------------------
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_corpus_that_is_not_utf8_is_a_data_error(tmp_path, monkeypatch, caplog, cpus):
+    monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+    demo = tmp_path / "demo"
+    shutil.copytree(DEMO, demo)
+    corpus = demo / "corpus.jsonl"
+    lines = corpus.read_bytes().count(b"\n")
+    with corpus.open("ab") as fh:
+        fh.write(b"\xff\xfe junk\n")
+    out = tmp_path / "out"
+    rc = main(["-q", "generate", "--config", str(demo / "config.yaml"), "--out", str(out)])
+    assert rc == 2
+    assert f"{corpus}:{lines + 1}: not UTF-8 text (invalid start byte, byte 0xff)" in caplog.text
+    assert not out.exists()
+
+
+def test_a_conll_file_that_is_not_utf8_is_a_data_error(tmp_path, caplog):
+    gold = tmp_path / "gold.conll"
+    data = (DEMO / "gold.conll").read_bytes()
+    first_end = data.index(b"\n")
+    gold.write_bytes(data[:first_end] + b"\r\n" + data[first_end + 1:].replace(b"O", b"\xc3O", 1))
+    line = data[: data.index(b"O", first_end + 1)].count(b"\n") + 1
+    rc = main(["-q", "eval", str(gold), str(DEMO / "gold.conll")])
+    assert rc == 2
+    assert f"{gold}:{line}: not UTF-8 text (invalid continuation byte, byte 0xc3)" in caplog.text
+
+
+def test_a_judgments_file_that_is_not_utf8_is_a_data_error(tmp_path, caplog):
+    judgments = tmp_path / "judgments.jsonl"
+    judgments.write_bytes((DEMO / "judgments.jsonl").read_bytes() + b'{"question_id": "\x80"}\n')
+    lines = (DEMO / "judgments.jsonl").read_bytes().count(b"\n")
+    rc = main([
+        "-q", "judge-stats", "--results", str(DEMO / "results.jsonl"),
+        "--judgments", str(judgments), "--k", "5",
+    ])
+    assert rc == 2
+    message = f"{judgments}:{lines + 1}: not UTF-8 text (invalid start byte, byte 0x80)"
+    assert message in caplog.text
+
+
 # -- selftrain ----------------------------------------------------------------
 
 

@@ -182,6 +182,17 @@ def _row(field, value):
         (_state(params=[_row("stamp", 1.0)]), "params row 0 stamp must be an integer, got 1.0"),
         (_state(params=[_row("stamp", True)]), "params row 0 stamp must be an integer, got True"),
         (_state(params=[_row("stamp", "1")]), "params row 0 stamp must be an integer, got '1'"),
+        (_state(tags=[], params=[]), 'tags must start with "O", got []'),
+        (_state(tags=["B-LOC", "O"]), """tags must start with "O", got ['B-LOC', 'O']"""),
+        (_state(tags=["I-X"], params=[]), """tags must start with "O", got ['I-X']"""),
+        (_state(tags=["O", "B-LOC", "O"]), "tags repeat 'O'"),
+        (_state(tags=["O", "B-LOC", "B-LOC"]), "tags repeat 'B-LOC'"),
+        (_state(params=[_ROW, _row("tag", "B-ORG")]), "params row 1 tag 'B-ORG' is not in tags"),
+        # every row's form is checked before any row's tag
+        (_state(tags=["O"], params=[_ROW, _row("stamp", 1.0)]),
+         "params row 1 stamp must be an integer, got 1.0"),
+        (_state(tags=["O"], params=[_ROW, _row("stamp", 1)]),
+         "params row 0 tag 'B-LOC' is not in tags"),
     ],
 )
 def test_restore_rejects_a_malformed_state_naming_the_fault(state, message):
@@ -239,13 +250,15 @@ _FINITE = st.one_of(
 
 @st.composite
 def _states(draw):
-    keys = draw(st.lists(st.tuples(_TEXT, _TEXT), unique=True, max_size=12))
+    # restore accepts tags that start with "O" and do not repeat, and rows
+    # whose tag is one of them
+    tags = ["O", *draw(st.lists(_TEXT.filter(lambda t: t != "O"), unique=True, max_size=3))]
+    keys = draw(st.lists(st.tuples(_TEXT, st.sampled_from(tags)), unique=True, max_size=12))
     params = [
         [feat, tag, draw(_FINITE), draw(_FINITE), draw(st.integers(-(10**20), 10**20))]
         for feat, tag in keys
     ]
     draw(st.randoms()).shuffle(params)
-    tags = draw(st.lists(_TEXT, max_size=4))
     return {"tags": tags, "ticks": draw(st.integers(0, 10**20)), "params": params}
 
 

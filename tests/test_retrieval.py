@@ -1,13 +1,15 @@
 import json
 import math
+import os
 import re
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from askner.errors import DataError
+from askner import backhalf
+from askner.errors import DataError, InternalInvariantError
 from askner.retrieval import (
     RESULT_FIELDS,
     CorpusSentence,
@@ -23,6 +25,7 @@ from askner.retrieval import (
     read_results,
     sentence_from_record,
     serialize_results,
+    text_lines,
 )
 from testutil import phrase, sent
 
@@ -176,6 +179,240 @@ def test_sentence_validation_catches_span_lies():
     assert sentence_from_record(dict(abc, candidates=[[2, 9]])) == sentence_from_record(abc)
     with pytest.raises(DataError, match="tab"):
         sentence_from_record({"sentence_id": "s", "text": "a\tb", "tokens": [["a\tb", 0, 3]]})
+
+
+# -- reading a corpus in two halves -----------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="the back half is read in a forked process"
+)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids ``load_corpus`` forks during the test. Each must have been
+    reaped by the time the test ends."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _line(sid, words):
+    return json.dumps(_record(sid, " ".join(words)), ensure_ascii=False).encode("utf-8")
+
+
+def _read(path, split, keep=None, visit_ids=(), raising=None):
+    """What ``load_corpus`` gives: the held sentences in order, the total
+    and the visited sentences, or the error's type and message and the
+    sentences visited before it. Equal held surfaces must be one object."""
+    visited = []
+
+    def callback(sentence):
+        visited.append(sentence)
+        if sentence.sentence_id == raising:
+            raise RuntimeError(f"callback for {raising}")
+
+    try:
+        corpus = load_corpus(path, keep, dict.fromkeys(visit_ids, callback), split=split)
+    except (DataError, RuntimeError) as e:
+        return type(e), str(e), visited
+    held = [t for s in corpus.values() for t in s.tokens]
+    assert len({id(t) for t in held}) == len(set(held))
+    return list(corpus.items()), corpus.total, visited
+
+
+_IDS = [f"s{i}" for i in range(12)]
+_VALID = st.builds(
+    _line, st.sampled_from(_IDS),
+    st.lists(st.sampled_from(["Oslo", "is", "cold", "Lima", "é"]), min_size=1, max_size=4),
+)
+_FAULTY = st.sampled_from([
+    b"", b"  ", b"{broken", b"[1]", b"\xff\xfe junk",
+    b'{"sentence_id": "s0", "text": "ab", "tokens": [["x", 0, 2]]}',
+])
+
+
+@st.composite
+def _corpora(draw):
+    # one line in seven is blank or faulty, so that many files have a fault
+    # on either side of the cut, and many have none
+    lines = draw(st.lists(
+        st.tuples(st.integers(0, 6).flatmap(lambda i: _VALID if i else _FAULTY),
+                  st.sampled_from([b"\n", b"\r\n", b"\r"])),
+        max_size=10,
+    ))
+    data = b"".join(line + end for line, end in lines)
+    if lines and draw(st.booleans()):  # no line end after the last line
+        data = data[: -len(lines[-1][1])]
+    keep = draw(st.none() | st.sets(st.sampled_from(_IDS)))
+    visit_ids = draw(st.sets(st.sampled_from(_IDS)))
+    return data, keep, visit_ids, draw(st.none() | st.sampled_from(_IDS))
+
+
+@needs_fork
+@seed(26)
+@settings(max_examples=150, deadline=None)
+@given(_corpora())
+def test_split_read_equals_one_read(tmp_path_factory, case):
+    data, keep, visit_ids, raising = case
+    path = tmp_path_factory.mktemp("split") / "corpus.jsonl"
+    path.write_bytes(data)
+    one = _read(path, False, keep, visit_ids, raising)
+    assert _read(path, True, keep, visit_ids, raising) == one
+
+
+# Nine lines of equal length: the cut falls after line 5.
+_NINE = [_line(sid, ["Oslo", "is", "cold"]) for sid in "abcdefghi"]
+
+
+def _nine(tmp_path, changes=(), ends=None):
+    lines = list(_NINE)
+    for index, line in changes:
+        lines[index] = line
+    ends = ends or [b"\n"] * len(lines)
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+    return path
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "changes, visit_ids, raising, expected",
+    [
+        ([(1, b"{broken")], (), None, ":2: invalid JSON"),
+        ([(7, _line("h", ["Oslo", "is", "hot"]).replace(b'"hot", 8, 11', b'"cold", 8, 11'))],
+         (), None, ":8: token 2 surface"),
+        ([(7, _NINE[0])], (), None, ":8: duplicate sentence_id 'a'"),
+        ([(8, _NINE[6])], (), None, ":9: duplicate sentence_id 'g'"),
+        ([(7, b"\xff\xfe junk")], (), None, ":8: not UTF-8 text (invalid start byte, byte 0xff)"),
+        ([(2, b"{broken"), (7, b"\xff")], (), None, ":3: invalid JSON"),
+        # a callback that raises comes before a later fault, in either half
+        ([(7, _NINE[0])], ("b", "g"), "g", "callback for g"),
+        ([(7, _NINE[0])], ("h", "b"), "h", ":8: duplicate sentence_id 'a'"),
+        ([(7, b"{broken")], ("f", "i"), "f", "callback for f"),
+    ],
+)
+def test_split_read_gives_the_first_fault_of_one_read(
+    tmp_path, forked, changes, visit_ids, raising, expected
+):
+    path = _nine(tmp_path, changes)
+    one = _read(path, False, {"b", "h"}, visit_ids, raising)
+    assert len(forked) == 0
+    assert _read(path, True, {"b", "h"}, visit_ids, raising) == one
+    assert len(forked) == 1
+    assert expected in one[1]
+
+
+@needs_fork
+def test_split_read_numbers_lines_as_text_mode_does(tmp_path, forked):
+    # Blank lines, "\r\n" and a lone "\r" in the front half: the back half's
+    # line numbers count each of them as text mode does.
+    ends = [b"\r", b"\r\n\n", b"\r\r\n", b"\n  \n", b"\n", b"\n", b"\n", b"\n", b"\n"]
+    path = _nine(tmp_path, [(7, b"{broken")], ends)
+    with path.open(encoding="utf-8") as fh:
+        assert list(fh)[10] == "{broken\n"
+    one = _read(path, False)
+    assert one[1] == (
+        f"{path}:11: invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"
+    )
+    assert _read(path, True) == one
+    assert len(forked) == 1
+
+
+@needs_fork
+def test_split_read_shares_surfaces_across_the_halves(tmp_path, forked):
+    path = _nine(tmp_path)
+    corpus = load_corpus(path, {"a", "i"}, split=True)
+    assert len(forked) == 1
+    assert corpus == load_corpus(path, {"a", "i"}) and corpus.total == 9
+    assert list(corpus) == ["a", "i"]
+    for front, back in zip(corpus["a"].tokens, corpus["i"].tokens):
+        assert front is back
+
+
+@needs_fork
+@pytest.mark.parametrize("data", [b"", _NINE[0], _NINE[0] + b"\n", b"\n\n" + _NINE[0]])
+def test_split_read_of_a_file_with_no_back_half_forks_nothing(tmp_path, forked, data):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    assert _read(path, True) == _read(path, False)
+    assert forked == []
+
+
+@needs_fork
+@pytest.mark.parametrize("index", [1, 7])
+def test_an_interrupt_during_a_split_read_stops_the_reader(tmp_path, forked, index):
+    # the front half's second sentence, or the back half's third
+    path = _nine(tmp_path)
+
+    def interrupt(sentence):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        load_corpus(path, None, {"abcdefghi"[index]: interrupt}, split=True)
+    assert len(forked) == 1
+
+
+@needs_fork
+def test_a_failed_fork_reads_the_file_in_one_part(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    path = _nine(tmp_path)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _read(path, True, {"c", "g"}) == _read(path, False, {"c", "g"})
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@needs_fork
+def test_a_reader_that_dies_is_an_internal_error(tmp_path, forked, monkeypatch):
+    monkeypatch.setattr(backhalf, "read_back", lambda *args: os._exit(7))
+    with pytest.raises(InternalInvariantError, match="corpus reader process exited with code 7"):
+        load_corpus(_nine(tmp_path), split=True)
+    assert len(forked) == 1
+
+
+@seed(26)
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.sampled_from("ab é\r\n"), max_size=24), st.integers(0, 24))
+def test_text_lines_reads_as_text_mode_does(tmp_path_factory, text, at):
+    path = tmp_path_factory.mktemp("lines") / "text.txt"
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as fh:
+        expected = list(fh)
+    with open(path, "rb") as fh:
+        assert list(text_lines(fh, "t")) == expected
+    # read in two parts, cut after the first "\n" from byte ``at`` on
+    cut = data.find(b"\n", at) + 1
+    if 0 < cut < len(data):
+        with open(path, "rb") as fh:
+            front = list(text_lines(fh, "t", size=cut))
+            assert list(text_lines(fh, "t")) == expected[len(front):]
+
+
+def test_a_results_file_that_is_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "results.jsonl"
+    record = json.dumps(phrase("q", 1, "Oslo", 1.0, "s1", 0, 4).to_record()).encode()
+    path.write_bytes(record + b"\r\n\n" + b'{"phrase": "Os\xe9"}\n')
+    with pytest.raises(DataError, match=re.escape(
+        f"{path}:3: not UTF-8 text (invalid continuation byte, byte 0xe9)"
+    )):
+        read_results(path)
 
 
 # -- record checks against the field-by-field reference ---------------------

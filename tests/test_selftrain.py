@@ -454,22 +454,24 @@ def no_children_left():
     assert multiprocessing.active_children() == []
 
 
-def _in_thread(fn, timeout=60):
-    """Run ``fn`` in a thread and return what it returned or raised; fails
-    if it is still running after ``timeout`` seconds."""
-    outcome = []
+def _within(fn, timeout=60):
+    """Run ``fn`` and return what it returned or raised; a run still going
+    after ``timeout`` seconds raises TimeoutError instead of hanging. It
+    runs in this thread, under a SIGALRM timer, so that the scorer it forks
+    is not forked while a second thread runs (Python 3.12 warns of that)."""
 
-    def call():
-        try:
-            outcome.append(fn())
-        except Exception as e:
-            outcome.append(e)
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {timeout} s")
 
-    worker = threading.Thread(target=call, daemon=True)
-    worker.start()
-    worker.join(timeout=timeout)
-    assert not worker.is_alive()
-    return outcome[0]
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
+        return fn()
+    except Exception as e:
+        return e
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @needs_fork
@@ -593,7 +595,7 @@ class _WorkerKiller(StubTagger):
 def test_a_killed_worker_is_an_internal_error_not_a_hang(no_children_left):
     generated, unlabeled, validation = _data()
     config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=4)
-    raised = _in_thread(lambda: run_self_training(
+    raised = _within(lambda: run_self_training(
         generated, unlabeled, validation, _WorkerKiller, config, score_in_worker=True
     ))
     assert isinstance(raised, InternalInvariantError)
