@@ -13,11 +13,10 @@ walk is done: writing as it went, it would block on the full pipe until
 the command had read its own half. The command merges the frames in line
 order (``BackHalf.merge``).
 
-The reader ignores SIGINT, which reaches the whole process group; the
-command handles it and ``BackHalf.close`` stops the reader. A reader that
-dies, or meets any other exception, exits before its last frame: its end
-of the pipe closes, so the wait for a frame ends in EOF and an
-InternalInvariantError, never a hang.
+The reader is a ``forked.Forked`` child: it ignores SIGINT,
+``BackHalf.close`` stops it, and a reader that dies, or meets any other
+exception, exits before its last frame, so the wait for that frame ends in
+an InternalInvariantError, never a hang.
 
 ``load_corpus`` imports this module only when it splits a read, so a
 command that reads its corpus in one part neither compiles nor loads it.
@@ -27,12 +26,12 @@ from __future__ import annotations
 
 import marshal
 import os
-import signal
 from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Container, Mapping
+from typing import Callable, Container, Mapping
 
-from .errors import DataError, InternalInvariantError
+from .errors import DataError
+from .forked import Forked, Link
 from .retrieval import (
     Corpus,
     CorpusSentence,
@@ -51,11 +50,11 @@ _FRAME_RECORDS = 100
 
 class BackHalf:
     """The forked reader of a corpus file's back half, seen from the
-    command: its pipe, its pid and the byte offset ``cut`` it starts at."""
+    command: the child and the byte offset ``cut`` it starts at."""
 
-    def __init__(self, path: str | Path, source: str, cut: int, pid: int, pipe: BinaryIO):
+    def __init__(self, path: str | Path, source: str, cut: int, reader: Forked):
         self._path, self._source, self.cut = path, source, cut
-        self._pid, self._pipe = pid, pipe
+        self._reader = reader
 
     @classmethod
     def start(
@@ -75,39 +74,10 @@ class BackHalf:
             cut = fh.tell()
         if cut >= size:
             return None
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException as e:
-            os.close(read_end)
-            os.close(write_end)
-            if isinstance(e, OSError):  # no process to spare: read in one part
-                return None
-            raise
-        if pid == 0:  # the reader
-            code = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(read_end)
-                read_back(path, source, cut, keep, visit, write_end)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_end)
-        return cls(path, source, cut, pid, open(read_end, "rb"))
-
-    def _frame(self) -> object:
-        """The next frame, decoded; a reader that exited before sending it
-        is an InternalInvariantError naming its exit code."""
-        size = int.from_bytes(self._pipe.read(8), "little")
-        data = self._pipe.read(size) if size else b""
-        if not size or len(data) < size:
-            _, status = os.waitpid(self._pid, 0)
-            self._pid = 0
-            raise InternalInvariantError(
-                f"corpus reader process exited with code {os.waitstatus_to_exitcode(status)}"
-            )
-        return marshal.loads(data)
+        reader = Forked.start(
+            "corpus reader", lambda link: read_back(path, source, cut, keep, visit, link)
+        )
+        return cls(path, source, cut, reader) if reader else None
 
     def merge(
         self,
@@ -122,9 +92,9 @@ class BackHalf:
         ``visit``'s callbacks here. Raise the back half's first error;
         otherwise return how many records it holds. Each frame is rebuilt
         and dropped before the next is read."""
-        first = self._frame()
+        first = self._reader.recv()
         index = 0
-        while type(frame := self._frame()) is list:
+        while type(frame := self._reader.recv()) is list:
             for sid, text, tokens, held in frame:
                 if sid in out or sid in unkept:
                     raise DataError(f"{self._where(first, index)}: duplicate sentence_id {sid!r}")
@@ -154,14 +124,7 @@ class BackHalf:
 
     def close(self) -> None:
         """Stop the reader if it still runs, reap it and close the pipe."""
-        if self._pid:
-            os.kill(self._pid, signal.SIGTERM)
-            try:
-                os.waitpid(self._pid, 0)
-            except ChildProcessError:  # reaped already (SIGCHLD ignored)
-                pass
-            self._pid = 0
-        self._pipe.close()
+        self._reader.close()
 
 
 def read_back(
@@ -170,10 +133,10 @@ def read_back(
     cut: int,
     keep: Container[str] | None,
     visit: Mapping[str, Callable] | None,
-    write_end: int,
+    link: Link,
 ) -> None:
     """The forked reader's work (see the module docstring): walk the bytes
-    after ``cut`` and write the frames to ``write_end``."""
+    after ``cut`` and send the frames over ``link``."""
     frames = []
     records: list[tuple] = []
     seen: set[str] = set()
@@ -205,10 +168,5 @@ def read_back(
     if records:
         frames.append(marshal.dumps(records))
     frames.append(marshal.dumps((len(seen), error)))
-    try:
-        with open(write_end, "wb") as pipe:
-            for frame in frames:
-                pipe.write(len(frame).to_bytes(8, "little"))
-                pipe.write(frame)
-    except BrokenPipeError:  # the parent stopped listening
-        pass
+    for frame in frames:
+        link.send_bytes(frame)

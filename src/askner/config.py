@@ -21,7 +21,7 @@ from typing import Any, Mapping
 import yaml
 
 from .errors import ConfigError
-from .normalizer import DEFAULT_MIN_LENGTH, rule_ids
+from .normalizer import DEFAULT_MIN_LENGTH, read_config_text, rule_ids
 from .querygen import DEFAULT_TEMPLATE, LabelDeclaration, QuestionTemplate, TypeDeclaration
 from .selftrain import SelfTrainConfig
 
@@ -342,7 +342,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
     """Parse a YAML config; relative paths resolve against the file's folder."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_config_text(path)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     try:

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConfigError
+from .retrieval import not_utf8
 
 if TYPE_CHECKING:  # pragma: no cover
     from .retrieval import CorpusSentence, RetrievedPhrase
@@ -66,10 +67,23 @@ def surface_key(surface: str) -> str:
     return " ".join(surface.split()).lower()
 
 
+def read_config_text(path: Path) -> str:
+    r"""A configuration file's text, as text mode reads it: UTF-8, with
+    "\r\n" and a lone "\r" read as "\n". A file that is not UTF-8 is a
+    ConfigError naming the line of its first bad byte."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise not_utf8(str(path), 1, data, e, ConfigError) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_phrase_list(path: str | Path) -> list[str]:
-    """One phrase per line; blank lines and '#' comments ignored."""
+    """One phrase per line; blank lines and '#' comments ignored. A file
+    that is not UTF-8 is a ConfigError naming it."""
     phrases = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_config_text(Path(path)).splitlines():
         phrase = line.split("#", 1)[0].strip()
         if phrase:
             phrases.append(phrase)

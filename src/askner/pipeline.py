@@ -26,7 +26,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from . import __version__
 from .annotator import (
@@ -41,7 +41,7 @@ from .annotator import (
 )
 from .config import PipelineConfig
 from .conll import format_conll, read_conll
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InternalInvariantError
 from .metrics import (
     EvalReport,
     RetrievalJudgments,
@@ -75,6 +75,9 @@ from .retrieval import (
     text_lines,
 )
 from .selftrain import format_training_log, run_self_training
+
+if TYPE_CHECKING:
+    from .forked import Forked, Link
 
 log = logging.getLogger("askner")
 
@@ -269,7 +272,12 @@ class GenerateResult:
     dictionary_path: Path
     manifest_path: Path
     counts: dict[str, int]
-    labeled: list[LabeledSentence]
+
+    @property
+    def labeled(self) -> list[LabeledSentence]:
+        """The written dataset, read back: its ids are positional
+        (s000001, ...), as ``read_conll`` gives them."""
+        return read_conll(self.dataset_path)
 
 
 def _match_time_rules(questions: Sequence[SubQuestion]) -> frozenset[int]:
@@ -426,17 +434,129 @@ def _pooled_dictionary(
     return dictionary, list(corpus.values()), question_rows, results_text
 
 
-def _assigned(
+def _matches(
     dictionary: PseudoDictionary, sentences: Sequence[CorpusSentence], rules: RuleSet
 ) -> list[MatchSpan]:
-    """Match the dictionary against ``sentences`` and type every match; the
-    untyped matches die when this returns."""
-    if dictionary.entries:
-        spans = match_sentences(dictionary, sentences, rules)
-    else:
+    return match_sentences(dictionary, sentences, rules) if dictionary.entries else []
+
+
+# The errors a dataset writer sends back by name, to be raised here as they
+# would be had this process met them itself.
+_RELAYED = {e.__name__: e for e in (DataError, InternalInvariantError)}
+
+
+def _write_dataset(
+    dictionary: PseudoDictionary, sentences: list[CorpusSentence], rules: RuleSet
+) -> tuple[bytes, int]:
+    """The dataset's bytes, and how many entities it tags: ``sentences``
+    matched against the dictionary, typed, tagged BIO and formatted as
+    CoNLL.
+
+    When ``_may_fork`` allows and there are two sentences or more, a forked
+    dataset writer (``_write_back``) does the back half of ``sentences``
+    while this process does the front half. The untyped matches, the
+    labeled sentences and the text of each half die in the process that
+    made them. Apportionment sees every occurrence of a key claimed by
+    several types, in (sentence id, token start) order: the writer sends its
+    occurrences of such keys, this process types them together with its
+    own and sends back the writer's types. Each side types the other keys
+    itself. The writer sends back a newline and its half, encoded, which
+    this process reads in after its own half: the two are what
+    ``format_conll`` gives for the whole list. On one CPU, or when the fork
+    fails, the back half is empty.
+
+    ``sentences`` is emptied on the way, so that no sentence outlives its
+    use here: the back half once the writer has its own copy, the front half
+    once it is tagged (the tags and the tokens are all ``format_conll``
+    reads).
+    """
+    if not dictionary.entries:
         log.warning("generate: empty dictionary, emitting all-O labels")
-        spans = []
-    return assign_types(dictionary, spans)
+    cut, writer = len(sentences), None
+    if cut >= 2 and _may_fork():
+        from .forked import Forked  # only a split write compiles and loads it
+
+        half = cut // 2
+        writer = Forked.start(
+            "dataset writer",
+            lambda link: _write_back(dictionary, sentences[half:], rules, link),
+            replies=True,
+        )
+        if writer is not None:
+            cut = half
+    try:
+        del sentences[cut:]
+        spans = _matches(dictionary, sentences, rules)
+        shared = _from_writer(writer) if writer else []
+        spans.extend(MatchSpan(*occ) for occ in shared)
+        typed = assign_types(dictionary, spans)
+        del spans
+        if writer:
+            back_ids = {occ[0] for occ in shared}
+            types: dict[tuple[str, int], str | None] = {}
+            if back_ids:
+                own = []
+                for s in typed:
+                    if s.sentence_id in back_ids:
+                        types[s.sentence_id, s.token_start] = s.assigned_type
+                    else:
+                        own.append(s)
+                typed = own
+            writer.send([types[sid, start] for sid, start, _, _ in shared])
+        labeled = emit_bio(sentences, typed)
+        entities = len(typed)
+        del typed
+        sentences.clear()
+        dataset = format_conll(labeled).encode("utf-8")
+        del labeled
+        if writer:
+            entities += _from_writer(writer)
+            dataset = writer.recv_after(dataset)
+        return dataset, entities
+    finally:
+        if writer is not None:
+            writer.close()
+
+
+def _from_writer(writer: Forked) -> object:
+    """The dataset writer's next frame's payload; its error, if it met one,
+    raised here."""
+    payload, error = writer.recv()
+    if error is not None:
+        kind, message = error
+        raise _RELAYED[kind](message)
+    return payload
+
+
+def _write_back(
+    dictionary: PseudoDictionary,
+    sentences: Sequence[CorpusSentence],
+    rules: RuleSet,
+    link: Link,
+) -> None:
+    """The forked dataset writer's work (see ``_write_dataset``). It sends
+    ``(payload, None)``, or ``(None, (error class name, message))`` if it
+    meets a DataError or an InternalInvariantError: first
+    ``(sentence_id, token_start, token_end, key)`` for each of its matches
+    whose key is claimed by several types; then, once it has received
+    their types, the entities in its half. Last comes a frame of bytes: a
+    newline and its half of the dataset."""
+    try:
+        typed, shared = [], []  # shared: keys claimed by several types
+        for span in _matches(dictionary, sentences, rules):
+            (shared if len(dictionary.entries[span.phrase_key].counts) > 1 else typed).append(span)
+        occurrences = [(s.sentence_id, s.token_start, s.token_end, s.phrase_key) for s in shared]
+        link.send((occurrences, None))
+        typed = assign_types(dictionary, typed)
+        typed.extend(
+            MatchSpan(s.sentence_id, s.token_start, s.token_end, s.phrase_key, type_name)
+            for s, type_name in zip(shared, link.recv(), strict=True)
+        )
+        text = "\n" + format_conll(emit_bio(sentences, typed))
+        link.send((len(typed), None))
+        link.send_bytes(text.encode("utf-8"))
+    except tuple(_RELAYED.values()) as e:
+        link.send((None, (type(e).__name__, str(e))))
 
 
 @contextmanager
@@ -493,22 +613,21 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
              len(dictionary.entries), len(dictionary.abbreviations))
 
     match_rules = RuleSet.from_ids(_match_time_rules(questions), stopwords, config.min_length)
-    assigned = _assigned(dictionary, sentences, match_rules)
-    labeled = emit_bio(sentences, assigned)
-    log.info("generate: %d matches over %d labeled sentences", len(assigned), len(labeled))
+    labeled_sentences = len(sentences)
+    dataset, entities = _write_dataset(dictionary, sentences, match_rules)
+    log.info("generate: %d matches over %d labeled sentences", entities, labeled_sentences)
     counts.update(
         dictionary_entries=len(dictionary.entries),
         abbreviation_patterns=len(dictionary.abbreviations),
-        entities=len(assigned),
-        labeled_sentences=len(labeled),
+        entities=entities,
+        labeled_sentences=labeled_sentences,
     )
-    del sentences, assigned  # the dataset is written from the labeled sentences alone
 
     outputs = {}
     if results_text is not None:
         outputs["results.jsonl"] = results_text.encode("utf-8")
     outputs["dictionary.tsv"] = dump_dictionary(dictionary).encode("utf-8")
-    outputs["dataset.conll"] = format_conll(labeled).encode("utf-8")
+    outputs["dataset.conll"] = dataset
     manifest = _manifest(
         "generate", config, config.seed, inputs, outputs, counts,
         extra={"questions_detail": question_rows},
@@ -520,7 +639,6 @@ def cmd_generate(config: PipelineConfig, out: Path | None = None) -> GenerateRes
         dictionary_path=out_dir / "dictionary.tsv",
         manifest_path=out_dir / "manifest.json",
         counts=counts,
-        labeled=labeled,
     )
 
 

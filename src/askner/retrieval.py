@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Container, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DataError, FetchError
+from .errors import DataError, FetchError, PipelineError
 
 RESULT_FIELDS = ("question_id", "rank", "phrase", "score", "sentence_id", "char_start", "char_end")
 
@@ -155,12 +155,18 @@ def line_breaks(data: bytes) -> int:
     return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
-def not_utf8(source: str, line: int, data: bytes, error: UnicodeDecodeError) -> DataError:
-    """The DataError for ``data``, the bytes from the start of line ``line``
-    of ``source``, failing to decode as UTF-8 with ``error``: it names the
-    line the bad byte is on."""
+def not_utf8(
+    source: str,
+    line: int,
+    data: bytes,
+    error: UnicodeDecodeError,
+    kind: type[PipelineError] = DataError,
+) -> PipelineError:
+    """The error (a ``kind``) for ``data``, the bytes from the start of line
+    ``line`` of ``source``, failing to decode as UTF-8 with ``error``: it
+    names the line the bad byte is on."""
     line += line_breaks(data[:error.start])
-    return DataError(
+    return kind(
         f"{source}:{line}: not UTF-8 text ({error.reason}, byte {data[error.start]:#04x})"
     )
 

@@ -299,6 +299,39 @@ def test_a_judgments_file_that_is_not_utf8_is_a_data_error(tmp_path, caplog):
     assert message in caplog.text
 
 
+def _generate_fails_on_config(demo, tmp_path, capsys, caplog, message):
+    """generate with ``demo``'s config exits 1 (a configuration error), logs
+    ``message``, prints no traceback and writes nothing."""
+    out = tmp_path / "out"
+    rc = main(["-q", "generate", "--config", str(demo / "config.yaml"), "--out", str(out)])
+    assert rc == 1
+    assert message in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, caplog):
+    demo = tmp_path / "demo"
+    shutil.copytree(DEMO, demo)
+    config = demo / "config.yaml"
+    lines = config.read_bytes().count(b"\n")
+    with config.open("ab") as fh:
+        fh.write(b"# caf\xe9\n")
+    message = f"{config}:{lines + 1}: not UTF-8 text (invalid continuation byte, byte 0xe9)"
+    _generate_fails_on_config(demo, tmp_path, capsys, caplog, message)
+
+
+@pytest.mark.parametrize("key", ["stopwords", "quality_phrases"])
+def test_a_phrase_list_that_is_not_utf8_is_a_config_error(tmp_path, capsys, caplog, key):
+    demo = tmp_path / "demo"
+    shutil.copytree(DEMO, demo)
+    (demo / "phrases.txt").write_bytes(b"the\r\nof\r\n\xff\n")
+    with (demo / "config.yaml").open("a", encoding="utf-8") as fh:
+        fh.write(f"{key}: phrases.txt\n")
+    message = f"{demo / 'phrases.txt'}:3: not UTF-8 text (invalid start byte, byte 0xff)"
+    _generate_fails_on_config(demo, tmp_path, capsys, caplog, message)
+
+
 # -- selftrain ----------------------------------------------------------------
 
 

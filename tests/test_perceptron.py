@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from askner.errors import DataError
@@ -248,12 +248,24 @@ _FINITE = st.one_of(
 )
 
 
+def _json_round_trip(value):
+    """``value`` as ``restore`` reads it back: ``json.loads`` joins a high
+    and a low surrogate escaped next to each other into one character."""
+    return json.loads(json.dumps(value))
+
+
 @st.composite
 def _states(draw):
     # restore accepts tags that start with "O" and do not repeat, and rows
-    # whose tag is one of them
-    tags = ["O", *draw(st.lists(_TEXT.filter(lambda t: t != "O"), unique=True, max_size=3))]
-    keys = draw(st.lists(st.tuples(_TEXT, st.sampled_from(tags)), unique=True, max_size=12))
+    # whose tag is one of them; both must hold after the JSON round trip
+    tags = ["O", *draw(st.lists(
+        _TEXT.filter(lambda t: t != "O"), unique_by=_json_round_trip, max_size=3
+    ))]
+    keys = draw(st.lists(
+        st.tuples(_TEXT, st.sampled_from(tags)),
+        unique_by=lambda key: tuple(_json_round_trip(key)),
+        max_size=12,
+    ))
     params = [
         [feat, tag, draw(_FINITE), draw(_FINITE), draw(st.integers(-(10**20), 10**20))]
         for feat, tag in keys
@@ -264,12 +276,17 @@ def _states(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_states())
+# "\ud800\udfff" sorts before "\udfff", but restore reads it as U+103FF,
+# which sorts after
+@example({"tags": ["O"], "ticks": 0,
+          "params": [["\udfff", "O", 0, 0, 0], ["\ud800\udfff", "O", 0, 0, 0]]})
 def test_snapshot_of_a_restored_state_equals_json_dumps(state):
     tagger = AveragedPerceptronTagger()
     tagger.restore(json.dumps(state).encode("ascii"))
     assert tagger.snapshot() == _ref_snapshot(tagger)
-    state["params"].sort(key=lambda row: row[:2])
-    assert tagger.snapshot() == json.dumps(state, separators=(",", ":")).encode("ascii")
+    restored = _json_round_trip(state)
+    restored["params"].sort(key=lambda row: row[:2])
+    assert tagger.snapshot() == json.dumps(restored, separators=(",", ":")).encode("ascii")
 
 
 _WORDS = st.text(
