@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, check_value
 from .normalizer import DEFAULT_MIN_LENGTH, read_config_text, rule_ids
 from .querygen import DEFAULT_TEMPLATE, LabelDeclaration, QuestionTemplate, TypeDeclaration
 from .selftrain import SelfTrainConfig
@@ -166,30 +166,30 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _want(obj: Mapping, key: str, kind, where: str, default=None, required=False):
+def _want(obj: Mapping, key: str, kind: str, where: str, default=None, required=False):
+    """``obj[key]``, checked to be of ``kind`` (see ``check_value``); a
+    finite number is read as a float. An absent or null key gives
+    ``default``, or is a fault if ``required``."""
     if key not in obj or obj[key] is None:
         if required:
-            raise ConfigError(f"{where}: missing required key {key!r}")
+            raise ConfigError(f"{where}: missing field {key!r}")
         return default
-    value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{where}: {key!r} must be an integer")
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"{where}: {key!r} must be {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}"
-        )
-    return value
+    value = check_value(obj[key], f"{where}: {key}", kind, ConfigError)
+    return float(value) if kind == "a finite number" else value
+
+
+def _known(obj: Any, keys: set[str], where: str) -> None:
+    """Raise ConfigError unless ``obj`` is an object with no key but ``keys``."""
+    check_value(obj, where, "an object", ConfigError)
+    unknown = set(obj) - keys
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
 
 
 def _parse_rules(value: Any, where: str) -> tuple[int, ...] | None:
     if value is None:
         return None
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(r, int) and not isinstance(r, bool) for r in value
-    ):
+    if not isinstance(value, (list, tuple)) or not all(type(r) is int for r in value):
         raise ConfigError(f"{where}: rules must be a list of integers")
     return tuple(sorted(rule_ids(value, where)))
 
@@ -199,22 +199,22 @@ def _parse_label(obj: Any, where: str) -> LabelDeclaration:
         return LabelDeclaration(label=obj)
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: label must be a string or an object")
-    label = _want(obj, "label", str, where, required=True)
+    _known(obj, {"label", "k_l", "rules"}, where)
+    label = _want(obj, "label", "a string", where, required=True)
     if not label.strip():
         raise ConfigError(f"{where}: label must be non-empty")
-    k_l = _want(obj, "k_l", int, where)
+    k_l = _want(obj, "k_l", "an integer", where)
     return LabelDeclaration(
         label=label, k_l=k_l, rules=_parse_rules(obj.get("rules"), where)
     )
 
 
 def _parse_type(obj: Any, where: str) -> TypeDeclaration:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: each type must be an object")
-    name = _want(obj, "name", str, where, required=True)
+    _known(obj, {"name", "labels", "k_l", "rules"}, where)
+    name = _want(obj, "name", "a string", where, required=True)
     if not name.strip() or "\t" in name or "\n" in name:
         raise ConfigError(f"{where}: bad type name {name!r}")
-    labels_raw = _want(obj, "labels", list, where, required=True)
+    labels_raw = _want(obj, "labels", "an array", where, required=True)
     if not labels_raw:
         raise ConfigError(f"{where}: type {name!r} needs at least one label")
     labels = tuple(
@@ -223,7 +223,7 @@ def _parse_type(obj: Any, where: str) -> TypeDeclaration:
     return TypeDeclaration(
         name=name,
         labels=labels,
-        k_l=_want(obj, "k_l", int, where),
+        k_l=_want(obj, "k_l", "an integer", where),
         rules=_parse_rules(obj.get("rules"), where),
     )
 
@@ -239,22 +239,21 @@ def preset_types(name: str) -> list[TypeDeclaration]:
 def _parse_selftrain(obj: Any, where: str, seed: int) -> SelfTrainConfig | None:
     if obj is None:
         return None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: selftrain must be an object")
-    preset = _want(obj, "preset", str, where)
+    _known(obj, {"preset", "t_begin", "t_update", "max_iterations"}, where)
+    preset = _want(obj, "preset", "a string", where)
     if preset is not None:
         base = SelfTrainConfig.from_preset(
-            preset, max_iterations=_want(obj, "max_iterations", int, where), seed=seed
+            preset, max_iterations=_want(obj, "max_iterations", "an integer", where), seed=seed
         )
         return dataclasses.replace(
             base,
-            t_begin=_want(obj, "t_begin", int, where, default=base.t_begin),
-            t_update=_want(obj, "t_update", int, where, default=base.t_update),
+            t_begin=_want(obj, "t_begin", "an integer", where, default=base.t_begin),
+            t_update=_want(obj, "t_update", "an integer", where, default=base.t_update),
         )
     return SelfTrainConfig(
-        t_begin=_want(obj, "t_begin", int, where, required=True),
-        t_update=_want(obj, "t_update", int, where, required=True),
-        max_iterations=_want(obj, "max_iterations", int, where, required=True),
+        t_begin=_want(obj, "t_begin", "an integer", where, required=True),
+        t_update=_want(obj, "t_update", "an integer", where, required=True),
+        max_iterations=_want(obj, "max_iterations", "an integer", where, required=True),
         seed=seed,
     )
 
@@ -262,31 +261,26 @@ def _parse_selftrain(obj: Any, where: str, seed: int) -> SelfTrainConfig | None:
 def parse_config(
     obj: Any, base_dir: Path, source: str = "<config>", seed_override: int | None = None
 ) -> PipelineConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{source}: top level must be a mapping")
-    known = {
+    _known(obj, {
         "seed", "template", "preset", "types", "defaults", "corpus", "stopwords",
         "quality_phrases", "retrieval", "selftrain", "output_dir",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
+    }, source)
 
-    seed = _want(obj, "seed", int, source, default=0)
+    seed = _want(obj, "seed", "an integer", source, default=0)
     if seed_override is not None:
         seed = seed_override
 
-    template_raw = _want(obj, "template", str, source, default=DEFAULT_TEMPLATE)
+    template_raw = _want(obj, "template", "a string", source, default=DEFAULT_TEMPLATE)
     if "[TYPE]" in template_raw:
         template = QuestionTemplate(template_raw)
     else:
         template = QuestionTemplate.preset(template_raw)
 
     types: list[TypeDeclaration] = []
-    preset = _want(obj, "preset", str, source)
+    preset = _want(obj, "preset", "a string", source)
     if preset is not None:
         types.extend(preset_types(preset))
-    for i, t in enumerate(_want(obj, "types", list, source, default=[])):
+    for i, t in enumerate(_want(obj, "types", "an array", source, default=[])):
         types.append(_parse_type(t, f"{source}.types[{i}]"))
     if not types:
         raise ConfigError(f"{source}: no entity types declared (set 'types' or 'preset')")
@@ -295,31 +289,34 @@ def parse_config(
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ConfigError(f"{source}: duplicate type names {dupes}")
 
-    defaults = _want(obj, "defaults", dict, source, default={})
-    default_k_l = _want(defaults, "k_l", int, f"{source}.defaults")
-    default_rules = _parse_rules(defaults.get("rules"), f"{source}.defaults") or ()
-    min_length = _want(defaults, "min_length", int, f"{source}.defaults",
-                       default=DEFAULT_MIN_LENGTH)
+    defaults = _want(obj, "defaults", "an object", source, default={})
+    where = f"{source}.defaults"
+    _known(defaults, {"k_l", "rules", "min_length"}, where)
+    default_k_l = _want(defaults, "k_l", "an integer", where)
+    default_rules = _parse_rules(defaults.get("rules"), where) or ()
+    min_length = _want(defaults, "min_length", "an integer", where, default=DEFAULT_MIN_LENGTH)
     if min_length < 1:
-        raise ConfigError(f"{source}.defaults: min_length must be >= 1, got {min_length}")
+        raise ConfigError(f"{where}: min_length must be >= 1, got {min_length}")
 
-    corpus = _want(obj, "corpus", str, source, required=True)
+    corpus = _want(obj, "corpus", "a string", source, required=True)
 
-    retr_raw = _want(obj, "retrieval", dict, source, required=True)
-    mode = _want(retr_raw, "mode", str, f"{source}.retrieval", required=True)
-    results = _want(retr_raw, "results", str, f"{source}.retrieval")
+    retr_raw = _want(obj, "retrieval", "an object", source, required=True)
+    where = f"{source}.retrieval"
+    _known(retr_raw, {"mode", "results", "endpoint", "top_n", "timeout", "attempts"}, where)
+    mode = _want(retr_raw, "mode", "a string", where, required=True)
+    results = _want(retr_raw, "results", "a string", where)
     retrieval = RetrievalSettings(
         mode=mode,
         results_path=(base_dir / results) if results else None,
-        endpoint=_want(retr_raw, "endpoint", str, f"{source}.retrieval"),
-        top_n=_want(retr_raw, "top_n", int, f"{source}.retrieval", default=100),
-        timeout=_want(retr_raw, "timeout", float, f"{source}.retrieval", default=10.0),
-        attempts=_want(retr_raw, "attempts", int, f"{source}.retrieval", default=3),
+        endpoint=_want(retr_raw, "endpoint", "a string", where),
+        top_n=_want(retr_raw, "top_n", "an integer", where, default=100),
+        timeout=_want(retr_raw, "timeout", "a finite number", where, default=10.0),
+        attempts=_want(retr_raw, "attempts", "an integer", where, default=3),
     )
 
-    stop = _want(obj, "stopwords", str, source)
-    quality = _want(obj, "quality_phrases", str, source)
-    output_dir = _want(obj, "output_dir", str, source, default="out")
+    stop = _want(obj, "stopwords", "a string", source)
+    quality = _want(obj, "quality_phrases", "a string", source)
+    output_dir = _want(obj, "output_dir", "a string", source, default="out")
 
     return PipelineConfig(
         seed=seed,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .annotator import LabeledSentence
-from .errors import DataError
+from .errors import DataError, check_fields
 from .retrieval import RetrievedPhrase, jsonl_records
 
 #: (sentence_id, token_start, token_end, type)
@@ -110,6 +110,9 @@ def entity_f1(gold: Iterable[Entity] | EntitySet, pred: Iterable[Entity] | Entit
     return EvalReport(p, r, f, len(gold_set), len(pred_set), correct, per_type)
 
 
+_JUDGMENT_FIELDS = {"question_id": "a string", "rank": "an integer", "correct": "a boolean"}
+
+
 @dataclass(frozen=True)
 class RetrievalJudgments:
     """Human correctness judgments keyed by (question_id, rank)."""
@@ -123,18 +126,7 @@ class RetrievalJudgments:
         boolean; nothing is coerced."""
         judged: dict[tuple[str, int], bool] = {}
         for obj, where in jsonl_records(lines, source):
-            if not isinstance(obj, dict):
-                raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
-            try:
-                qid, rank, verdict = obj["question_id"], obj["rank"], obj["correct"]
-            except KeyError as e:
-                raise DataError(f"{where}: missing field {e.args[0]!r}") from None
-            if not isinstance(qid, str):
-                raise DataError(f"{where}: question_id must be a string, got {qid!r}")
-            if isinstance(rank, bool) or not isinstance(rank, int):
-                raise DataError(f"{where}: rank must be an integer, got {rank!r}")
-            if not isinstance(verdict, bool):
-                raise DataError(f"{where}: correct must be a boolean, got {verdict!r}")
+            qid, rank, verdict = check_fields(obj, where, _JUDGMENT_FIELDS)
             key = (qid, rank)
             if key in judged:
                 raise DataError(f"{where}: duplicate judgment for {key}")

@@ -43,7 +43,7 @@ from json.encoder import encode_basestring_ascii as encode_string
 from typing import Sequence
 
 from .annotator import LabeledSentence
-from .errors import DataError
+from .errors import DataError, check_fields, check_value
 from .selftrain import visit_order
 
 START = "<s>"
@@ -111,63 +111,38 @@ def _successors(tags: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
     return {prev: tuple(t for t in tags if _legal(prev, t)) for prev in (START, *tags)}
 
 
-# A finite number lies in [-_FLOAT_MAX, _FLOAT_MAX]; NaN, the infinities and an
-# integer too large for a float do not.
-_FLOAT_MAX = sys.float_info.max
-_ROW_FIELDS = ("feature", "tag", "weight", "total", "stamp")
-
-
-def _field_fault(field: str, value: object) -> str | None:
-    """What a params row's ``field`` should be, if ``value`` is not that:
-    feature and tag are strings, weight and total finite numbers, stamp an
-    integer. A boolean is none of these."""
-    if field in ("feature", "tag"):
-        return None if type(value) is str else "a string"
-    if field == "stamp":
-        return None if type(value) is int else "an integer"
-    finite = type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
-    return None if finite else "a finite number"
+_ROW_KINDS = {
+    "feature": "a string", "tag": "a string", "weight": "a finite number",
+    "total": "a finite number", "stamp": "an integer",
+}
 
 
 def _check_state(obj: object) -> None:
     """Raise DataError naming the first fault ``restore`` met in a decoded
-    state: not an object, a missing field, tags not an array of strings,
-    tags that do not start with "O" or repeat a tag, ticks not an integer,
-    params not an array, a params row that does not unpack into five fields
-    or whose feature or tag is an array or an object, a row field of the
-    wrong type (see ``_field_fault``), and, once every row has its form, a
-    row whose tag is not in tags."""
-    if not isinstance(obj, dict):
-        raise DataError(f"checkpoint: expected an object, got {type(obj).__name__}")
-    for field in ("tags", "ticks", "params"):
-        if field not in obj:
-            raise DataError(f"checkpoint: missing field {field!r}")
-    tags, ticks, params = obj["tags"], obj["ticks"], obj["params"]
-    if type(tags) is not list or not all(type(tag) is str for tag in tags):
-        raise DataError(f"checkpoint: tags must be an array of strings, got {tags!r}")
+    state: a fault in its three fields (``check_fields``), tags that do not
+    start with "O", a tag that is not a string or repeats one, a params row
+    that does not unpack into five fields or whose feature or tag is an
+    array or an object, a row field not of its kind in ``_ROW_KINDS``, and,
+    once every row has its form, a row whose tag is not in tags."""
+    tags, _, params = check_fields(
+        obj, "checkpoint", {"tags": "an array", "ticks": "an integer", "params": "an array"}
+    )
     if not tags or tags[0] != "O":
         raise DataError(f'checkpoint: tags must start with "O", got {tags!r}')
     for i, tag in enumerate(tags):
+        check_value(tag, f"checkpoint: tags[{i}]", "a string")
         if tag in tags[:i]:
             raise DataError(f"checkpoint: tags repeat {tag!r}")
-    if type(ticks) is not int:
-        raise DataError(f"checkpoint: ticks must be an integer, got {ticks!r}")
-    if not isinstance(params, list):
-        raise DataError(f"checkpoint: params must be an array, got {type(params).__name__}")
     for i, row in enumerate(params):
         try:
             feat, tag, _, _, _ = row
             hash((feat, tag))
         except (TypeError, ValueError):
             raise DataError(
-                f"checkpoint: params row {i} must be [{', '.join(_ROW_FIELDS)}], got {row!r}"
+                f"checkpoint: params row {i} must be [{', '.join(_ROW_KINDS)}], got {row!r}"
             ) from None
-        for field, value in zip(_ROW_FIELDS, row):
-            want = _field_fault(field, value)
-            if want:
-                raise DataError(
-                    f"checkpoint: params row {i} {field} must be {want}, got {value!r}"
-                )
+        for (field, kind), value in zip(_ROW_KINDS.items(), row):
+            check_value(value, f"checkpoint: params row {i} {field}", kind)
     for i, (_, tag, _, _, _) in enumerate(params):
         if tag not in tags:
             raise DataError(f"checkpoint: params row {i} tag {tag!r} is not in tags")
@@ -361,8 +336,8 @@ class AveragedPerceptronTagger:
         wrong type, such as a NaN weight or a boolean stamp, tags that are
         empty, do not start with "O" or repeat one, or a row whose tag is
         not in tags, which ``predict`` could not decode. A well-formed
-        state is checked in one pass as it is read; any other is checked
-        field by field, which words the first fault. A failed restore
+        state is checked in one pass as it is read; ``_check_state`` words
+        the first fault of any other. A failed restore
         leaves the tagger as it was."""
         try:
             obj = json.loads(state)
@@ -380,7 +355,7 @@ class AveragedPerceptronTagger:
                 raise TypeError
             weights: dict[str, dict[str, float]] = {}
             acc: dict[tuple[str, str], tuple[float, int]] = {}
-            lo, hi = -_FLOAT_MAX, _FLOAT_MAX
+            lo, hi = -sys.float_info.max, sys.float_info.max
             for feat, tag, w, total, stamp in params:
                 if not (
                     type(feat) is str and tag in known and type(stamp) is int

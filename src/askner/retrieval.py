@@ -8,12 +8,13 @@ of both formats must have its JSON type; nothing is coerced. Token offsets
 are checked when a corpus record is read and are not kept; the sentences
 one corpus read holds share their repeated token strings.
 
-One function checks each record kind: ``_check_tokens`` the tokens of a
-corpus record, ``_phrase_from_record`` a results record. Each has a first
-pass that only accepts a well-formed record, then a walk that words the
-fault of a record the pass rejected, so a record with several faults always
-reports the same one. A corpus line whose sentence is neither held nor
-visited is checked without being built.
+One function checks each record kind: ``_check_record`` a corpus record,
+``_check_tokens`` its tokens, ``_phrase_from_record`` a results record.
+Each has a first pass that only accepts a well-formed record; the fault of
+a record it rejects is worded by ``errors.check_fields`` (the record's own
+fields) or by a walk over the tokens, so a record with several faults
+always reports the same one. A corpus line whose sentence is neither held
+nor visited is checked without being built.
 
 Every JSONL file (corpus, results, and the judgments ``metrics`` reads) is
 read in binary through ``text_lines``, which decodes it line by line as
@@ -32,15 +33,22 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Container, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DataError, FetchError, PipelineError
+from .errors import DataError, FetchError, PipelineError, check_fields
 
-RESULT_FIELDS = ("question_id", "rank", "phrase", "score", "sentence_id", "char_start", "char_end")
+# The fields of a corpus record and of a results record, each with its kind
+# (see ``errors.check_fields``), in the order they are checked.
+_CORPUS_FIELDS = {"sentence_id": "a non-empty string", "text": "a string", "tokens": "an array"}
+_RESULT_KINDS = {
+    "question_id": "a string", "phrase": "a string", "sentence_id": "a string",
+    "rank": "an integer", "char_start": "an integer", "char_end": "an integer",
+    "score": "a finite number",
+}
+RESULT_FIELDS = tuple(_RESULT_KINDS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,26 +59,6 @@ class CorpusSentence:
     sentence_id: str
     text: str
     tokens: tuple[str, ...]
-
-
-def _record_fields(obj: object, where: str) -> tuple[str, str, list]:
-    """The sentence id, text and token list of a corpus record, each of its
-    JSON type; the tokens themselves are not looked at."""
-    if not isinstance(obj, dict):
-        raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
-    try:
-        sid = obj["sentence_id"]
-        text = obj["text"]
-        tokens = obj["tokens"]
-    except KeyError as e:
-        raise DataError(f"{where}: missing field {e.args[0]!r}") from None
-    if not isinstance(sid, str) or not sid:
-        raise DataError(f"{where}: sentence_id must be a non-empty string")
-    if not isinstance(text, str):
-        raise DataError(f"{where}: text must be a string")
-    if not isinstance(tokens, list):
-        raise DataError(f"{where}: malformed tokens: expected an array, got {tokens!r}")
-    return sid, text, tokens
 
 
 def _check_tokens(text: str, tokens: list, where: str) -> None:
@@ -135,17 +123,22 @@ def sentence_from_record(
 
     A record with several faults reports the first record-level one, else
     the first token whose type is wrong, else the first token misplaced."""
-    sid, text, tokens = _record_fields(obj, where)
-    _check_tokens(text, tokens, where)
+    _check_record(obj, where)
     memo = {} if surfaces is None else surfaces
-    toks = tuple([memo.setdefault(s, s) for s, _, _ in tokens])
-    return CorpusSentence(sentence_id=sid, text=text, tokens=toks)
+    toks = tuple([memo.setdefault(s, s) for s, _, _ in obj["tokens"]])
+    return CorpusSentence(sentence_id=obj["sentence_id"], text=obj["text"], tokens=toks)
 
 
 def _check_record(obj: object, where: str) -> None:
     """Check one corpus record as ``sentence_from_record`` does, with the
-    same errors, but build no sentence."""
-    _, text, tokens = _record_fields(obj, where)
+    same errors, but build no sentence. A record whose fields have their
+    kinds passes one test; ``check_fields`` words the fault of any other."""
+    try:
+        sid, text, tokens = obj["sentence_id"], obj["text"], obj["tokens"]
+    except (KeyError, TypeError):  # not an object, or a field missing
+        sid = None
+    if not (type(sid) is str and sid and type(text) is str and type(tokens) is list):
+        _, text, tokens = check_fields(obj, where, _CORPUS_FIELDS)
     _check_tokens(text, tokens, where)
 
 
@@ -355,45 +348,24 @@ def _phrase_from_record(obj: object, where: str) -> RetrievedPhrase:
     """Decode and check one results record: every field of its JSON type
     (a boolean is not an integer), a finite score, read as a float, and a
     rank of at least 1. A well-formed record with a float score is read in
-    one test; any other is checked field by field, which words the first
-    fault."""
-    if type(obj) is dict:
-        try:
-            qid, rank, surface, score, sid, start, end = (
-                obj["question_id"], obj["rank"], obj["phrase"], obj["score"],
-                obj["sentence_id"], obj["char_start"], obj["char_end"],
-            )
-        except KeyError:
-            pass
-        else:
-            if (
-                type(qid) is str and type(surface) is str and type(sid) is str
-                and type(rank) is int and type(start) is int and type(end) is int
-                and type(score) is float and math.isfinite(score) and rank >= 1
-            ):
-                return RetrievedPhrase(qid, rank, surface, score, sid, start, end)
-    if not isinstance(obj, dict):
-        raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
-    missing = [f for f in RESULT_FIELDS if f not in obj]
-    if missing:
-        raise DataError(f"{where}: missing fields {missing}")
-    for f in ("question_id", "phrase", "sentence_id"):
-        if not isinstance(obj[f], str):
-            raise DataError(f"{where}: {f} must be a string, got {obj[f]!r}")
-    for f in ("rank", "char_start", "char_end"):
-        if isinstance(obj[f], bool) or not isinstance(obj[f], int):
-            raise DataError(f"{where}: {f} must be an integer, got {obj[f]!r}")
-    score = obj["score"]
-    # false for NaN, the infinities and an integer too large for a float
-    finite = isinstance(score, (int, float)) and abs(score) <= sys.float_info.max
-    if isinstance(score, bool) or not finite:
-        raise DataError(f"{where}: score must be a finite number, got {score!r}")
-    if obj["rank"] < 1:
-        raise DataError(f"{where}: rank must be >= 1, got {obj['rank']}")
-    return RetrievedPhrase(
-        obj["question_id"], obj["rank"], obj["phrase"], float(score),
-        obj["sentence_id"], obj["char_start"], obj["char_end"],
-    )
+    one test; ``check_fields`` words the first fault of any other."""
+    try:
+        qid, rank, surface, score, sid, start, end = (
+            obj["question_id"], obj["rank"], obj["phrase"], obj["score"],
+            obj["sentence_id"], obj["char_start"], obj["char_end"],
+        )
+        if (
+            type(qid) is str and type(surface) is str and type(sid) is str
+            and type(rank) is int and type(start) is int and type(end) is int
+            and type(score) is float and math.isfinite(score) and rank >= 1
+        ):
+            return RetrievedPhrase(qid, rank, surface, score, sid, start, end)
+    except (KeyError, TypeError):  # not an object, or a field missing
+        pass
+    qid, surface, sid, rank, start, end, score = check_fields(obj, where, _RESULT_KINDS)
+    if rank < 1:
+        raise DataError(f"{where}: rank must be >= 1, got {rank}")
+    return RetrievedPhrase(qid, rank, surface, float(score), sid, start, end)
 
 
 def check_evidence(p: RetrievedPhrase, sent: CorpusSentence | None, where: str) -> None:

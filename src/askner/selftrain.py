@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Callable, Protocol, Sequence
 
 from .annotator import LabeledSentence
-from .errors import ConfigError, InternalInvariantError
+from .errors import ConfigError, InternalInvariantError, check_value
 from .metrics import EntitySet, EvalReport, entity_f1, extract_entities
 
 #: Reference step schedules (t_begin, t_update) tuned per benchmark family.
@@ -135,8 +135,7 @@ class SelfTrainConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if type(self.seed) is not int:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        check_value(self.seed, "seed", "an integer", ConfigError)
 
     @classmethod
     def from_preset(

@@ -86,6 +86,40 @@ def test_unknown_top_level_keys(tmp_path):
         parse_config(_minimal(typo=1), base_dir=tmp_path)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"retrieval": {"mode": "replay", "results": "r.jsonl", "top-n": 5}},
+         r"<config>\.retrieval: unknown keys \['top-n'\]"),
+        ({"types": [{"name": "city", "labels": ["city"], "kl": 7}]},
+         r"<config>\.types\[0\]: unknown keys \['kl'\]"),
+        ({"types": [{"name": "city", "labels": [{"label": "city", "rule": [3]}]}]},
+         r"<config>\.types\[0\]\.labels\[0\]: unknown keys \['rule'\]"),
+        ({"defaults": {"min_lenght": 3}}, r"<config>\.defaults: unknown keys \['min_lenght'\]"),
+        ({"selftrain": {"t_begin": 4, "t_update": 2, "max_iterations": 6, "seeed": 4}},
+         r"<config>\.selftrain: unknown keys \['seeed'\]"),
+        # keys YAML reads as numbers sort with the rest instead of failing
+        ({"defaults": {"k_l": 5, 3: 1, "b": 2}}, r"<config>\.defaults: unknown keys \[3, 'b'\]"),
+    ],
+    ids=["retrieval", "type", "label", "defaults", "selftrain", "number-key"],
+)
+def test_unknown_keys_in_nested_mappings(tmp_path, extra, message):
+    with pytest.raises(ConfigError, match="^" + message + "$"):
+        parse_config(_minimal(**extra), base_dir=tmp_path)
+
+
+def test_timeout_reads_as_a_float_whether_written_as_an_integer_or_not(tmp_path):
+    configs = [
+        parse_config(_minimal(retrieval={"mode": "remote", "endpoint": "http://x/",
+                                         "timeout": timeout}), base_dir=tmp_path)
+        for timeout in (10, 10.0)
+    ]
+    for config in configs:
+        assert type(config.retrieval.timeout) is float
+    assert configs[0].config_hash() == configs[1].config_hash()
+    assert configs[0] == configs[1]
+
+
 def test_duplicate_type_names(tmp_path):
     obj = _minimal()
     obj["preset"] = "ncbi_disease"
@@ -157,15 +191,15 @@ def test_boolean_is_not_an_integer(tmp_path):
     [
         ({"defaults": {"min_length": 0}},
          r"<config>\.defaults: min_length must be >= 1, got 0"),
-        ({"seed": "1"}, r"'seed' must be int, got str"),
-        ({"types": ["city"]}, r"types\[0\]: each type must be an object"),
+        ({"seed": "1"}, r"<config>: seed must be an integer, got '1'"),
+        ({"types": ["city"]}, r"types\[0\] must be an object, got 'city'"),
         ({"types": [{"name": "a\tb", "labels": ["city"]}]}, r"bad type name 'a\\tb'"),
         ({"types": [{"name": "city", "labels": []}]}, "'city' needs at least one label"),
         ({"types": [{"name": "city", "labels": [5]}]},
          r"labels\[0\]: label must be a string or an object"),
         ({"types": [{"name": "city", "labels": [{"label": " "}]}]},
          r"labels\[0\]: label must be non-empty"),
-        ({"selftrain": [200, 100]}, r"selftrain: selftrain must be an object"),
+        ({"selftrain": [200, 100]}, r"<config>\.selftrain must be an object, got \[200, 100\]"),
     ],
     ids=["min-length-0", "wrong-type", "type-not-object", "tab-in-name", "no-labels",
          "label-not-string-or-object", "blank-label", "selftrain-not-object"],
@@ -233,7 +267,7 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
     notmap = tmp_path / "list.yaml"
     notmap.write_text("- a\n- b\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="mapping"):
+    with pytest.raises(ConfigError, match="list.yaml must be an object, got"):
         load_config(notmap)
 
 

@@ -139,19 +139,19 @@ def _row(field, value):
         (b"\xff", "invalid JSON: 'utf-8' codec can't decode"),
         ({"tags": ["O"], "params": []}, "missing field 'ticks'"),
         ({"tags": ["O"], "ticks": 0}, "missing field 'params'"),
-        ({"tags": ["O"], "ticks": 0, "params": 5}, "params must be an array, got int"),
+        ({"tags": ["O"], "ticks": 0, "params": 5}, "params must be an array, got 5"),
         ({"tags": ["O"], "ticks": 0, "params": [_ROW, ["w=oslo", "O"]]},
          "params row 1 must be [feature, tag, weight, total, stamp], got ['w=oslo', 'O']"),
         ({"tags": ["O"], "ticks": 0, "params": [_ROW, [["w=oslo"], "O", 1.0, 1.0, 0]]},
          "params row 1 must be [feature, tag, weight, total, stamp], got [['w=oslo'], 'O'"),
-        (_state(tags="O"), "tags must be an array of strings, got 'O'"),
-        (_state(tags=["O", 5]), "tags must be an array of strings, got ['O', 5]"),
-        (_state(tags=["O", None]), "tags must be an array of strings, got ['O', None]"),
+        (_state(tags="O"), "tags must be an array, got 'O'"),
+        (_state(tags=["O", 5]), "tags[1] must be a string, got 5"),
+        (_state(tags=["O", None]), "tags[1] must be a string, got None"),
         (_state(ticks=True), "ticks must be an integer, got True"),
         (_state(ticks=3.0), "ticks must be an integer, got 3.0"),
         (_state(ticks="3"), "ticks must be an integer, got '3'"),
         (_state(ticks=None), "ticks must be an integer, got None"),
-        (_state(params={"abcde": 1}), "params must be an array, got dict"),
+        (_state(params={"abcde": 1}), "params must be an array, got {'abcde': 1}"),
         (_state(params=[_ROW, _row("feature", 5)]), "params row 1 feature must be a string, got 5"),
         (_state(params=[_row("feature", True)]), "params row 0 feature must be a string, got True"),
         (_state(params=[_row("feature", None)]), "params row 0 feature must be a string, got None"),

@@ -450,11 +450,11 @@ def _ref_sentence_from_record(obj, where):
     except KeyError as e:
         raise DataError(f"{where}: missing field {e.args[0]!r}") from None
     if not isinstance(sid, str) or not sid:
-        raise DataError(f"{where}: sentence_id must be a non-empty string")
+        raise DataError(f"{where}: sentence_id must be a non-empty string, got {sid!r}")
     if not isinstance(text, str):
-        raise DataError(f"{where}: text must be a string")
+        raise DataError(f"{where}: text must be a string, got {text!r}")
     if not isinstance(tokens, list):
-        raise DataError(f"{where}: malformed tokens: expected an array, got {tokens!r}")
+        raise DataError(f"{where}: tokens must be an array, got {tokens!r}")
     toks = []
     for i, token in enumerate(tokens):
         try:
@@ -486,7 +486,7 @@ def _ref_phrase_from_record(obj, where):
         raise DataError(f"{where}: expected an object, got {type(obj).__name__}")
     missing = [f for f in RESULT_FIELDS if f not in obj]
     if missing:
-        raise DataError(f"{where}: missing fields {missing}")
+        raise DataError(f"{where}: missing field {missing[0]!r}")
     for f in ("question_id", "phrase", "sentence_id"):
         if not isinstance(obj[f], str):
             raise DataError(f"{where}: {f} must be a string, got {obj[f]!r}")
@@ -787,7 +787,7 @@ def test_ingest_rejects_increasing_score():
 
 
 def test_ingest_rejects_missing_fields_and_bad_rank():
-    with pytest.raises(DataError, match="missing fields"):
+    with pytest.raises(DataError, match="missing field 'phrase'"):
         ingest_results(['{"question_id": "a"}'])
     with pytest.raises(DataError, match="rank"):
         ingest_results(_lines(phrase(rank=0)))
