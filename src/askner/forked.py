@@ -1,10 +1,11 @@
 """A helper process forked from this one, and the frames it exchanges with it.
 
-The corpus's back-half reader (``backhalf``) and ``generate``'s dataset
-writer (``pipeline._write_dataset``) each run in one. A frame is an 8-byte
-little-endian length and that many bytes, most often a ``marshal`` dump.
-The child writes frames to one pipe and, when started with ``replies``,
-reads the parent's from another.
+Three helpers each run in one: the corpus's back-half reader
+(``backhalf``), ``generate``'s dataset writer (``pipeline._write_dataset``)
+and ``selftrain``'s validation scorer (``selftrain._score_states``). A frame
+is an 8-byte little-endian length and that many bytes, most often a
+``marshal`` dump. The child writes frames to one pipe and, when started
+with ``replies``, reads the parent's from another.
 
 The child ignores SIGINT, which reaches the whole process group: the parent
 handles it, and ``Forked.close`` stops the child with SIGTERM and reaps it.

@@ -181,10 +181,11 @@ def _available_cpus() -> int:
 
 def _may_fork() -> bool:
     """Whether work may move to a forked process: ``selftrain``'s
-    validation scoring, and the back half of a corpus read. It needs a
-    second CPU, since on one the forked process would only compete with
-    this one and add its handoff; ``os.fork``; and no other thread running,
-    since a process forked while another thread holds a lock can deadlock.
+    validation scoring, the back half of a corpus read, and the back half
+    of ``generate``'s dataset write. It needs a second CPU, since on one
+    the forked process would only compete with this one and add its
+    handoff; ``os.fork``; and no other thread running, since a process
+    forked while another thread holds a lock can deadlock.
     ``generate``'s fetch threads have all ended before it reads the
     corpus."""
     return _available_cpus() > 1 and hasattr(os, "fork") and threading.active_count() == 1

@@ -15,14 +15,15 @@ full relabel would give it, so every output is the same.
 Each state the loop snapshots, the teacher's and then each student's, is
 scored on validation, and the report is collected one round later, once the
 next student has trained. Validation runs in one of two places. With
-``score_in_worker`` a worker process, forked when the run starts, restores
-each snapshot and scores it while the parent relabels and trains the next
-round, so a second CPU takes the scoring off the training path; it is
-terminated when the run ends or fails, and exits by itself if the parent
-dies. Otherwise ``_evaluate`` runs inline on the live tagger: on one CPU the
-worker only competes with training and adds a restore and a pipe transfer
-per round. Both give the same reports, because the worker scores exactly
-the checkpoint bytes and ``restore`` round-trips exactly.
+``score_in_worker`` a validation scorer, a ``forked.Forked`` child forked
+when the run starts, restores each snapshot and scores it while the parent
+relabels and trains the next round, so a second CPU takes the scoring off
+the training path; it is stopped when the run ends or fails, and exits by
+itself if the parent dies. Otherwise, or if the fork fails, ``_evaluate``
+runs inline on the live tagger: on one CPU the scorer only competes with
+training and adds a restore and a pipe transfer per round. Both give the
+same reports, because the scorer scores exactly the checkpoint bytes and
+``restore`` round-trips exactly.
 """
 
 from __future__ import annotations
@@ -32,11 +33,14 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from .annotator import LabeledSentence
 from .errors import ConfigError, InternalInvariantError, check_value
 from .metrics import EntitySet, EvalReport, entity_f1, extract_entities
+
+if TYPE_CHECKING:
+    from .forked import Forked, Link
 
 #: Reference step schedules (t_begin, t_update) tuned per benchmark family.
 SCHEDULE_PRESETS: dict[str, tuple[int, int]] = {
@@ -219,96 +223,45 @@ class _InlineScorer:
 
 
 class _ForkedScorer:
-    """Scores submitted states in one forked worker process, one at a time.
+    """Scores submitted states in a forked validation scorer (a
+    ``forked.Forked`` child running ``_score_states``), one at a time:
+    ``submit`` sends the state and returns, ``collect`` waits for that
+    state's report and raises what scoring raised."""
 
-    ``submit`` sends the state's bytes over a pipe and returns; ``collect``
-    waits for that state's report and raises what scoring raised. A worker
-    that dies becomes an ``InternalInvariantError``, never a hang: the wait
-    also watches the process's sentinel. ``fork`` hands the worker the
-    tagger factory and the validation data without pickling them. The
-    worker stops only when ``close`` terminates it, or its parent dies.
-    """
-
-    def __init__(
-        self,
-        tagger_factory: Callable[[], TaggerInterface],
-        validation: Sequence[LabeledSentence],
-        gold: EntitySet,
-    ):
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        self._conn, child = context.Pipe()
-        self._process = context.Process(
-            target=_score_states,
-            args=(child, self._conn, tagger_factory, validation, gold),
-            name="askner-validation-scorer",
-            daemon=True,
-        )
-        self._process.start()
-        child.close()
+    def __init__(self, child: Forked):
+        self._child = child
 
     def submit(self, tagger: TaggerInterface, state: bytes) -> None:
-        try:
-            self._conn.send_bytes(state)
-        except OSError as e:
-            raise self._lost() from e
+        self._child.send(state)
 
     def collect(self) -> EvalReport:
         import pickle
-        from multiprocessing.connection import wait
 
-        wait([self._conn, self._process.sentinel])
-        try:
-            if not self._conn.poll():
-                raise EOFError
-            ok, value = pickle.loads(self._conn.recv_bytes())
-        except (EOFError, OSError) as e:
-            raise self._lost() from e
+        ok, value = pickle.loads(self._child.recv())
         if not ok:
             raise value
         return value
 
-    def _lost(self) -> InternalInvariantError:
-        self._process.join()
-        return InternalInvariantError(
-            f"validation scorer process exited with code {self._process.exitcode}"
-        )
-
     def close(self) -> None:
-        """Terminate the worker, wait for it to exit and close the pipe. A
-        report still being computed is abandoned; the worker holds no file
-        and has nothing to flush."""
-        self._process.terminate()
-        self._process.join()
-        self._process.close()
-        self._conn.close()
+        self._child.close()
 
 
 def _score_states(
-    conn,
-    parent_end,
     tagger_factory: Callable[[], TaggerInterface],
     validation: Sequence[LabeledSentence],
     gold: EntitySet,
+    link: Link,
 ) -> None:
-    """The scorer process: restore each state the parent sends into a fresh
-    tagger, score it and send back ``(True, report)`` or ``(False,
-    exception)``, pickled. The parent terminates it; if the parent dies
-    first, its end of the pipe closes and this returns on the EOF."""
+    """The validation scorer's work: restore each state the parent sends
+    into a fresh tagger, score it and send back ``(True, report)`` or
+    ``(False, exception)``, pickled. It returns once the parent closes its
+    end of the pipe, as it does when it dies."""
     import pickle
-    import signal
 
-    # An interrupt reaches the whole process group; the parent handles it
-    # and stops this process.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # fork copied the parent's end too; while open here, a dead parent
-    # would never show as EOF.
-    parent_end.close()
     while True:
         try:
-            state = conn.recv_bytes()
-        except (EOFError, OSError):
+            state = link.recv()
+        except EOFError:
             return
         try:
             tagger = tagger_factory()
@@ -323,10 +276,7 @@ def _score_states(
             payload = pickle.dumps((False, InternalInvariantError(
                 f"validation scorer cannot send back {result[1]!r}: {e}"
             )))
-        try:
-            conn.send_bytes(payload)
-        except OSError:
-            return
+        link.send(payload)
 
 
 def run_self_training(
@@ -349,13 +299,13 @@ def run_self_training(
     so memory does not grow with the number of rounds.
 
     Validation runs inline on the live tagger by default. With
-    ``score_in_worker`` (which needs the ``fork`` start method) one worker
-    process, started here and stopped before this returns, scores each
-    round's snapshot while the next round relabels and trains; that pays
-    only with a second CPU. The results are the same either way. Errors are
-    raised in the order a sequential run meets them: if a round fails while
-    an earlier state's score is outstanding, that score is collected first
-    and its failure, if any, is raised instead.
+    ``score_in_worker`` one forked validation scorer, started here and
+    stopped before this returns, scores each round's snapshot while the
+    next round relabels and trains; that pays only with a second CPU. If
+    the fork fails, scoring runs inline. The results are the same either
+    way. Errors are raised in the order a sequential run meets them: if a
+    round fails while an earlier state's score is outstanding, that score
+    is collected first and its failure, if any, is raised instead.
     """
     if not generated:
         raise ConfigError("generated dataset is empty")
@@ -365,10 +315,17 @@ def run_self_training(
         raise ConfigError("no unlabeled sentences to relabel")
 
     gold = EntitySet.from_sentences(validation)
+    scorer: _InlineScorer | _ForkedScorer = _InlineScorer(validation, gold)
     if score_in_worker:
-        scorer = _ForkedScorer(tagger_factory, validation, gold)
-    else:
-        scorer = _InlineScorer(validation, gold)
+        from .forked import Forked  # only a forked scorer compiles and loads it
+
+        child = Forked.start(
+            "validation scorer",
+            lambda link: _score_states(tagger_factory, validation, gold, link),
+            replies=True,
+        )
+        if child is not None:  # else the fork failed, and scoring stays inline
+            scorer = _ForkedScorer(child)
     # (round, student steps, state) whose report is still to be collected;
     # round 0 is the warmed-up teacher.
     outstanding: tuple[int, int, bytes] | None = None

@@ -9,7 +9,6 @@ import hashlib
 import importlib.util
 import json
 import math
-import multiprocessing
 import os
 import re
 import shutil
@@ -42,6 +41,7 @@ from askner.pipeline import cmd_generate
 from askner.querygen import build_question_set
 from askner.retrieval import fetch_remote, read_results, serialize_results
 from askner.selftrain import SelfTrainConfig
+from testutil import forked, needs_fork  # noqa: F401 (forked is a fixture)
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
@@ -194,11 +194,6 @@ def test_judge_stats_missing_judgment_is_data_error(tmp_path):
 
 
 # -- reading the corpus in two halves ------------------------------------------
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="the corpus's back half is read in a forked process"
-)
-
 
 @needs_fork
 @pytest.mark.parametrize("data", [DEMO, SYNTH], ids=["demo", "synthetic"])
@@ -439,10 +434,8 @@ def test_outputs_match_pinned_digests(tmp_path):
     assert got == PINNED_DIGESTS
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="the scorer is forked"
-)
-def test_selftrain_outputs_do_not_depend_on_where_validation_runs(tmp_path, monkeypatch):
+@needs_fork
+def test_selftrain_outputs_do_not_depend_on_where_validation_runs(tmp_path, monkeypatch, forked):
     gen = tmp_path / "gen"
     assert main(["-q", "generate", "--config", str(SYNTH / "config.yaml"), "--out", str(gen)]) == 0
     in_worker = []
@@ -472,7 +465,6 @@ def test_selftrain_outputs_do_not_depend_on_where_validation_runs(tmp_path, monk
         ("selftrain", name): hashlib.sha256(data).hexdigest()
         for name, data in outputs[2].items()
     } == {key: digest for key, digest in PINNED_DIGESTS.items() if key[0] == "selftrain"}
-    assert multiprocessing.active_children() == []
 
 
 def test_selftrain_without_schedule_is_config_error(tmp_path):
@@ -681,15 +673,13 @@ class _CollectorCheckingTagger(AveragedPerceptronTagger):
 
 @pytest.mark.parametrize("bad_line", [None, "{broken"])
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
 def test_selftrain_pauses_the_garbage_collector_and_restores_it(
-    tmp_path, monkeypatch, cpus, enabled, bad_line
+    tmp_path, monkeypatch, forked, cpus, enabled, bad_line
 ):
     # selftrain pauses the cyclic collector for the whole run, the forked
     # scorer included, and afterwards, on success or on a data error, it is
     # on exactly if it was before.
-    if cpus > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the scorer is forked")
     config = replace(
         load_config(SYNTH / "config.yaml"),
         selftrain=SelfTrainConfig(t_begin=20, t_update=10, max_iterations=30, seed=1),
@@ -725,7 +715,6 @@ def test_selftrain_pauses_the_garbage_collector_and_restores_it(
     if bad_line is None:
         assert outcome.rounds == 3
     assert after is enabled
-    assert multiprocessing.active_children() == []
 
 
 # Each command's artifacts in the order it writes them, manifest last.
@@ -845,10 +834,13 @@ def server():
     """A local retrieval service keyed by the ``question`` parameter.
 
     ``replies`` maps a question to its queue of (status, payload) responses;
-    each queue is served in order, whatever order the questions arrive in. ``delay`` maps a question to seconds to wait
-    before answering it. ``stats.max_active`` is the most connections the
-    server held open at once. Until it reaches ``hold_until``, each request
-    waits up to ``HOLD_S`` seconds before it is answered, so that
+    each queue is served in order, whatever order the questions arrive in.
+    ``delay`` maps a question to seconds to wait before answering it.
+    ``stats.max_active`` is the most requests the server was answering at
+    once: a request counts from its arrival until just before its reply is
+    written, so a client that sends its next request as soon as it has the
+    reply is never counted twice. Until it reaches ``hold_until``, each
+    request waits up to ``HOLD_S`` seconds before it is answered, so that
     ``hold_until`` requests are in flight together however slowly the
     client's threads start.
     """
@@ -861,26 +853,20 @@ def server():
                           hold_until=0)
 
     class Handler(BaseHTTPRequestHandler):
-        def handle(self):
-            with lock:
-                stats.active += 1
-                stats.max_active = max(stats.max_active, stats.active)
-                lock.notify_all()
-            try:
-                super().handle()
-            finally:
-                with lock:
-                    stats.active -= 1
-
         def do_GET(self):
             query = {k: v[0] for k, v in parse_qs(urlparse(self.path).query).items()}
             question = query.get("question", "")
             with lock:
+                stats.active += 1
+                stats.max_active = max(stats.max_active, stats.active)
+                lock.notify_all()
                 requests_seen.append(query)
                 queue = replies.get(question)
                 status, payload = queue.pop(0) if queue else (500, "exhausted")
                 lock.wait_for(lambda: stats.max_active >= srv.hold_until, timeout=HOLD_S)
             time.sleep(delay.get(question, 0.0))
+            with lock:
+                stats.active -= 1
             body = payload if isinstance(payload, str) else json.dumps(payload)
             data = body.encode("utf-8")
             self.send_response(status)

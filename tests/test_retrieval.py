@@ -27,7 +27,7 @@ from askner.retrieval import (
     serialize_results,
     text_lines,
 )
-from testutil import phrase, sent
+from testutil import forked, needs_fork, phrase, sent  # noqa: F401 (forked is a fixture)
 
 
 # -- corpus loading ---------------------------------------------------------
@@ -182,30 +182,6 @@ def test_sentence_validation_catches_span_lies():
 
 
 # -- reading a corpus in two halves -----------------------------------------
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="the back half is read in a forked process"
-)
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """The pids ``load_corpus`` forks during the test. Each must have been
-    reaped by the time the test ends."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    yield pids
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
 
 
 def _line(sid, words):

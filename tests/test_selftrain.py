@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import pickle
 import random
@@ -24,7 +23,7 @@ from askner.selftrain import (
     run_self_training,
     visit_order,
 )
-from testutil import labeled
+from testutil import forked, labeled, needs_fork  # noqa: F401 (forked is a fixture)
 
 
 class StubTagger:
@@ -443,17 +442,6 @@ def test_each_round_relabels_exactly_the_visited_sentences(name):
 
 # -- validation scored in a worker process -----------------------------------
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="the scorer is forked"
-)
-
-
-@pytest.fixture
-def no_children_left():
-    yield
-    assert multiprocessing.active_children() == []
-
-
 def _within(fn, timeout=60):
     """Run ``fn`` and return what it returned or raised; a run still going
     after ``timeout`` seconds raises TimeoutError instead of hanging. It
@@ -477,7 +465,7 @@ def _within(fn, timeout=60):
 @needs_fork
 @pytest.mark.parametrize("name", POOL_SHAPES)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_scoring_in_a_worker_gives_the_inline_result(name, seed, no_children_left):
+def test_scoring_in_a_worker_gives_the_inline_result(name, seed, forked):
     generated, unlabeled, validation, config = _case(name, seed)
     args = (generated, unlabeled, validation, AveragedPerceptronTagger, config)
     # SelfTrainResult equality covers best, best_round, rounds and every report.
@@ -485,7 +473,7 @@ def test_scoring_in_a_worker_gives_the_inline_result(name, seed, no_children_lef
 
 
 @needs_fork
-def test_scoring_in_a_worker_gives_the_inline_result_for_a_stub(no_children_left):
+def test_scoring_in_a_worker_gives_the_inline_result_for_a_stub(forked):
     generated, unlabeled, validation = _data()
     config = SelfTrainConfig(t_begin=4, t_update=2, max_iterations=6, seed=10)
     args = (generated, unlabeled, validation, StubTagger, config)
@@ -498,7 +486,7 @@ class _ShortTagger(StubTagger):
 
 
 @needs_fork
-def test_a_tag_count_mismatch_in_the_worker_is_an_internal_error(no_children_left):
+def test_a_tag_count_mismatch_in_the_worker_is_an_internal_error(forked):
     generated, unlabeled, validation = _data()
     config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=1)
     with pytest.raises(InternalInvariantError, match="2 tags for 3 tokens in v1"):
@@ -526,7 +514,7 @@ class _FailingTagger(StubTagger):
     "score_in_worker", [False, pytest.param(True, marks=needs_fork)]
 )
 def test_a_failed_score_is_raised_before_the_next_rounds_failure(
-    score_in_worker, no_children_left
+    score_in_worker, forked
 ):
     generated, unlabeled, _ = _data()
     validation = [labeled("v1", ["E1", "V"], ["B-T", "O"])]
@@ -569,7 +557,7 @@ class _ScoringErrorTagger(StubTagger):
     "make_error", [_unpicklable_error, lambda: _TwoArgumentError("scoring", "failed")]
 )
 def test_an_error_the_worker_cannot_send_back_is_an_internal_error(
-    make_error, no_children_left
+    make_error, forked
 ):
     generated, unlabeled, _ = _data()
     validation = [labeled("v1", ["E1", "V"], ["B-T", "O"])]
@@ -582,25 +570,47 @@ def test_an_error_the_worker_cannot_send_back_is_an_internal_error(
 
 
 class _WorkerKiller(StubTagger):
-    """Kills every child process with SIGKILL when round 2 trains."""
+    """Kills each process in ``pids`` with SIGKILL when round 2 trains."""
+
+    def __init__(self, pids):
+        super().__init__()
+        self.pids = pids
 
     def train(self, dataset, steps, seed):
         if self.level == 2:
-            for child in multiprocessing.active_children():
-                os.kill(child.pid, signal.SIGKILL)
+            for pid in self.pids:
+                os.kill(pid, signal.SIGKILL)
         super().train(dataset, steps, seed)
 
 
 @needs_fork
-def test_a_killed_worker_is_an_internal_error_not_a_hang(no_children_left):
+def test_a_killed_worker_is_an_internal_error_not_a_hang(forked):
     generated, unlabeled, validation = _data()
     config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=4)
     raised = _within(lambda: run_self_training(
-        generated, unlabeled, validation, _WorkerKiller, config, score_in_worker=True
+        generated, unlabeled, validation, lambda: _WorkerKiller(forked), config,
+        score_in_worker=True,
     ))
+    assert len(forked) == 1
     assert isinstance(raised, InternalInvariantError)
     assert "validation scorer" in str(raised)
     assert "-9" in str(raised)
+
+
+@needs_fork
+def test_a_failed_fork_scores_inline(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    generated, unlabeled, validation = _data()
+    config = SelfTrainConfig(t_begin=4, t_update=2, max_iterations=6, seed=10)
+    args = (generated, unlabeled, validation, StubTagger, config)
+    inline = run_self_training(*args)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_self_training(*args, score_in_worker=True) == inline
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
 
 
 class _WarmupFailure(StubTagger):
@@ -612,7 +622,7 @@ class _WarmupFailure(StubTagger):
     "score_in_worker", [False, pytest.param(True, marks=needs_fork)]
 )
 def test_a_failed_teacher_warmup_is_named_and_stops_the_worker(
-    score_in_worker, no_children_left
+    score_in_worker, forked
 ):
     generated, unlabeled, validation = _data()
     config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=1)

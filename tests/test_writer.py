@@ -5,7 +5,6 @@ the bytes and entity count of one pass over all of them."""
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -18,10 +17,7 @@ from askner.conll import format_conll
 from askner.errors import DataError, InternalInvariantError
 from askner.normalizer import NormalizedPhrase, RuleSet
 from askner.retrieval import CorpusSentence
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="the back half is written in a forked process"
-)
+from testutil import needs_fork, recorded_forks
 
 
 def _ref_write(dictionary, sentences, rules):
@@ -31,30 +27,9 @@ def _ref_write(dictionary, sentences, rules):
     return format_conll(emit_bio(sentences, typed)).encode("utf-8"), len(typed)
 
 
-@contextmanager
-def _cpus(cpus):
-    """``_write_dataset`` as it runs on ``cpus`` CPUs; yields the pids it forks."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    try:
-        with mock.patch.object(pipeline, "_available_cpus", lambda: cpus), \
-                mock.patch.object(os, "fork", recording_fork):
-            yield pids
-    finally:
-        for pid in pids:  # every writer has been reaped, whatever was raised
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-
-
 def _write(dictionary, sentences, rules, cpus):
-    with _cpus(cpus) as pids:
+    """``_write_dataset`` as it runs on ``cpus`` CPUs."""
+    with mock.patch.object(pipeline, "_available_cpus", lambda: cpus), recorded_forks() as pids:
         dataset, entities = pipeline._write_dataset(dictionary, list(sentences), rules)
     assert len(pids) == (cpus > 1 and len(sentences) > 1)
     return bytes(dataset), entities

@@ -1,12 +1,52 @@
-"""Shared builders for tests: quick sentences, phrases, and the hand-built
-evaluation fixture used by the metric tests."""
+"""Shared builders for tests: quick sentences, phrases, the hand-built
+evaluation fixture used by the metric tests, and the means to test code
+that forks a helper process."""
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import contextmanager
+from typing import Iterator
+from unittest import mock
+
+import pytest
 
 from askner.annotator import LabeledSentence
 from askner.retrieval import CorpusSentence, RetrievedPhrase
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="the code under test forks a helper process"
+)
+
+
+@contextmanager
+def recorded_forks() -> Iterator[list[int]]:
+    """The pids ``os.fork`` gives this process while the block runs. Each
+    must have been reaped when the block ends, whatever was raised."""
+    pids: list[int] = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    try:
+        with mock.patch.object(os, "fork", recording_fork):
+            yield pids
+    finally:
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def forked() -> Iterator[list[int]]:
+    """``recorded_forks`` over the whole test."""
+    with recorded_forks() as pids:
+        yield pids
 
 
 def sent(sid: str, text: str) -> CorpusSentence:
