@@ -16,6 +16,7 @@ largest-remainder apportionment over the retrieval counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import DataError, InternalInvariantError
@@ -88,7 +89,7 @@ def dump_dictionary(dictionary: PseudoDictionary) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MatchSpan:
     """A dictionary hit over tokens [token_start, token_end) of a sentence."""
 
@@ -147,6 +148,14 @@ class _WordTrie:
         return hits
 
 
+class _TokenWords(dict):
+    """{token text: its lowercased words}, each text split on first use."""
+
+    def __missing__(self, surface: str) -> tuple[str, ...]:
+        words = self[surface] = tuple(surface.lower().split())
+        return words
+
+
 def match_sentences(
     dictionary: PseudoDictionary,
     sentences: Iterable[CorpusSentence],
@@ -165,36 +174,35 @@ def match_sentences(
     for short, key in dictionary.abbreviations.items():
         pattern_to_key[short] = key
     trie = _WordTrie(pattern_to_key)
-    quality_trie = _WordTrie(dictionary.quality_phrases) if dictionary.quality_phrases else None
+    quality_trie = (
+        _WordTrie(dictionary.quality_phrases)
+        if rules.is_enabled(10) and dictionary.quality_phrases
+        else None
+    )
 
-    # token text -> its lowercased words, split once per distinct text
-    token_words: dict[str, tuple[str, ...]] = {}
+    words_of = _TokenWords().__getitem__
+    rule_9 = rules.is_enabled(9)
     out: list[MatchSpan] = []
     for sentence in sentences:
-        words = []
-        for surface in sentence.tokens:
-            split = token_words.get(surface)
-            if split is None:
-                split = token_words[surface] = tuple(surface.lower().split())
-            words.append(split)
+        words = list(map(words_of, sentence.tokens))
         raw = trie.scan(words)
-        if rules.is_enabled(9):
+        if rule_9:
             raw = [
                 (s, e, pat)
                 for s, e, pat in raw
                 if not (e - s == 1 and sentence.tokens[s].islower())
             ]
-        raw.sort(key=lambda hit: (hit[0], -(hit[1] - hit[0])))
-        kept: list[tuple[int, int, str]] = []
+        if not raw:
+            continue
+        if len(raw) > 1:
+            raw.sort(key=lambda hit: (hit[0], -(hit[1] - hit[0])))
+        spans: list[MatchSpan] = []
         last_end = -1
         for s, e, pat in raw:
             if s >= last_end:
-                kept.append((s, e, pat))
+                spans.append(MatchSpan(sentence.sentence_id, s, e, pattern_to_key[pat]))
                 last_end = e
-        spans = [
-            MatchSpan(sentence.sentence_id, s, e, pattern_to_key[pat]) for s, e, pat in kept
-        ]
-        if rules.is_enabled(10) and quality_trie is not None:
+        if quality_trie is not None:
             qp_spans = quality_trie.scan(words)
             for i, span in enumerate(spans):
                 grown = _grow_span(span, qp_spans)
@@ -279,7 +287,7 @@ def assign_types(dictionary: PseudoDictionary, spans: Sequence[MatchSpan]) -> li
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LabeledSentence:
     """Tokens plus aligned BIO tags."""
 
@@ -292,6 +300,9 @@ class LabeledSentence:
             raise DataError(
                 f"{self.sentence_id}: {len(self.tokens)} tokens vs {len(self.tags)} tags"
             )
+
+
+_token_start = attrgetter("token_start")
 
 
 def emit_bio(
@@ -318,7 +329,9 @@ def emit_bio(
     for sentence in sentences:
         n = len(sentence.tokens)
         tags = ["O"] * n
-        sent_spans = sorted(by_sid.get(sentence.sentence_id, []), key=lambda s: s.token_start)
+        sent_spans = by_sid.get(sentence.sentence_id, ())
+        if len(sent_spans) > 1:
+            sent_spans.sort(key=_token_start)
         last_end = 0
         for span in sent_spans:
             if not 0 <= span.token_start < span.token_end <= n:

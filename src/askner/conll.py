@@ -20,17 +20,25 @@ from .retrieval import not_utf8
 
 
 def format_conll(sentences: Iterable[LabeledSentence]) -> str:
+    """The CoNLL text of ``sentences``: one "token<TAB>tag" line per token,
+    a blank line between sentences, a final newline; "" for no sentences.
+
+    Each sentence's lines are joined in one go, and the block is accepted
+    when it holds exactly one tab per line and one newline fewer; only a
+    block that does not is walked, token by token, to name its first token
+    or tag holding a tab or newline."""
     blocks = []
     for sent in sentences:
-        lines = []
-        for token, tag in zip(sent.tokens, sent.tags):
-            if "\t" in token or "\n" in token or "\t" in tag or "\n" in tag:
-                raise DataError(
-                    f"{sent.sentence_id}: token/tag contains tab or newline: "
-                    f"{token!r} / {tag!r}"
-                )
-            lines.append(f"{token}\t{tag}")
-        blocks.append("\n".join(lines))
+        block = "\n".join(map("\t".join, zip(sent.tokens, sent.tags)))
+        n = min(len(sent.tokens), len(sent.tags))  # the lines zip gives
+        if block.count("\t") != n or block.count("\n") != n - 1:
+            for token, tag in zip(sent.tokens, sent.tags):
+                if "\t" in token or "\n" in token or "\t" in tag or "\n" in tag:
+                    raise DataError(
+                        f"{sent.sentence_id}: token/tag contains tab or newline: "
+                        f"{token!r} / {tag!r}"
+                    )
+        blocks.append(block)
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 

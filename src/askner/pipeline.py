@@ -66,8 +66,8 @@ from .retrieval import (
     CorpusSentence,
     RetrievedPhrase,
     SentenceBudgetResult,
-    check_evidence,
     collect_training_sentences,
+    evidence_fault,
     fetch_remote,
     load_corpus,
     read_results,
@@ -311,7 +311,9 @@ def _load_kept(
                 unkept.setdefault(p.sentence_id, []).append(p)
 
     def check(p: RetrievedPhrase, sent: CorpusSentence | None) -> None:
-        check_evidence(p, sent, f"{source} ({p.question_id} rank {p.rank})")
+        fault = evidence_fault(p, sent)
+        if fault is not None:  # the hit's name is only built for a fault
+            raise DataError(f"{source} ({p.question_id} rank {p.rank}): {fault}")
 
     def check_hits(sent: CorpusSentence) -> None:
         for p in unkept.pop(sent.sentence_id):

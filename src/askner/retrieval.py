@@ -51,7 +51,7 @@ _RESULT_KINDS = {
 RESULT_FIELDS = tuple(_RESULT_KINDS)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CorpusSentence:
     """One pre-tokenized sentence: its text and its token surfaces. Token
     offsets are checked when the record is read, and are not kept."""
@@ -320,7 +320,7 @@ def load_corpus(
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RetrievedPhrase:
     """One ranked retrieval hit: a phrase span inside an evidence sentence."""
 
@@ -368,20 +368,28 @@ def _phrase_from_record(obj: object, where: str) -> RetrievedPhrase:
     return RetrievedPhrase(qid, rank, surface, float(score), sid, start, end)
 
 
-def check_evidence(p: RetrievedPhrase, sent: CorpusSentence | None, where: str) -> None:
-    """Raise DataError unless ``sent``, the sentence ``p`` names (None if no
-    sentence has its id), exists and ``p``'s phrase equals its in-bounds
-    slice."""
+def evidence_fault(p: RetrievedPhrase, sent: CorpusSentence | None) -> str | None:
+    """What is wrong with ``p`` against ``sent``, the sentence it names (None
+    if no sentence has its id), or None if that sentence exists and ``p``'s
+    phrase equals its in-bounds slice."""
     if sent is None:
-        raise DataError(f"{where}: unknown sentence_id {p.sentence_id!r}")
+        return f"unknown sentence_id {p.sentence_id!r}"
     if not 0 <= p.char_start < p.char_end <= len(sent.text):
-        raise DataError(
-            f"{where}: span [{p.char_start}, {p.char_end}) out of bounds "
+        return (
+            f"span [{p.char_start}, {p.char_end}) out of bounds "
             f"for sentence {p.sentence_id!r}"
         )
     slice_ = sent.text[p.char_start:p.char_end]
     if slice_ != p.surface:
-        raise DataError(f"{where}: phrase {p.surface!r} != sentence slice {slice_!r}")
+        return f"phrase {p.surface!r} != sentence slice {slice_!r}"
+    return None
+
+
+def check_evidence(p: RetrievedPhrase, sent: CorpusSentence | None, where: str) -> None:
+    """Raise DataError, named ``where``, if ``evidence_fault`` finds one."""
+    fault = evidence_fault(p, sent)
+    if fault is not None:
+        raise DataError(f"{where}: {fault}")
 
 
 def ingest_results(
@@ -401,29 +409,52 @@ def _rank_sorted(
 ) -> dict[str, list[RetrievedPhrase]]:
     """Validate (record, where) pairs into hits grouped per question and
     sorted by rank, raising DataError in stream order. ``question_id``, if
-    given, is stamped on every record first."""
-    groups: dict[str, dict[int, tuple[RetrievedPhrase, str]]] = {}
+    given, is stamped on every record first.
+
+    Each hit is appended to its question's group as it comes. A question
+    whose ranks have so far come in rising order cannot repeat one; at its
+    first rank out of order, a {rank: where} map of its hits is built, which
+    finds its repeats from then on, and the group is sorted at the end. The
+    scores are checked once the stream is read, question by question in
+    order of first appearance, in rank order."""
+    # question id -> [hits, where of each hit, {rank: where} or None]
+    groups: dict[str, list] = {}
     for obj, where in records:
         if question_id is not None and isinstance(obj, dict):
             obj = dict(obj, question_id=question_id)
         p = _phrase_from_record(obj, where)
-        per_q = groups.setdefault(p.question_id, {})
-        if p.rank in per_q:
+        group = groups.get(p.question_id)
+        if group is None:
+            groups[p.question_id] = [[p], [where], None]
+            continue
+        hits, wheres, firsts = group
+        if firsts is None:
+            if p.rank > hits[-1].rank:
+                hits.append(p)
+                wheres.append(where)
+                continue
+            firsts = group[2] = dict(zip([h.rank for h in hits], wheres))
+        if p.rank in firsts:
             raise DataError(
                 f"{where}: duplicate rank {p.rank} for question {p.question_id!r} "
-                f"(first at {per_q[p.rank][1]})"
+                f"(first at {firsts[p.rank]})"
             )
-        per_q[p.rank] = (p, where)
+        firsts[p.rank] = where
+        hits.append(p)
+        wheres.append(where)
     out: dict[str, list[RetrievedPhrase]] = {}
-    for qid, per_q in groups.items():
-        ranked = [per_q[r] for r in sorted(per_q)]
-        for (prev, _), (cur, where) in zip(ranked, ranked[1:]):
+    for qid, (hits, wheres, firsts) in groups.items():
+        if firsts is not None:
+            order = sorted(range(len(hits)), key=[h.rank for h in hits].__getitem__)
+            hits = [hits[i] for i in order]
+            wheres = [wheres[i] for i in order]
+        for i, (prev, cur) in enumerate(zip(hits, hits[1:]), 1):
             if cur.score > prev.score:
                 raise DataError(
-                    f"{where}: score {cur.score} at rank {cur.rank} exceeds "
+                    f"{wheres[i]}: score {cur.score} at rank {cur.rank} exceeds "
                     f"score {prev.score} at rank {prev.rank} for question {qid!r}"
                 )
-        out[qid] = [p for p, _ in ranked]
+        out[qid] = hits
     return out
 
 

@@ -1139,7 +1139,7 @@ def test_remote_failure_names_earliest_question(tmp_path, server, monkeypatch, c
     rc = main(["-q", "generate", "--config", str(config), "--out", str(out)])
     assert rc == 2
     assert f"(question {second!r}): unexpected status 404" in caplog.text
-    assert "410" not in caplog.text
+    assert "unexpected status 410" not in caplog.text
     assert _artifacts(out) == []
 
 

@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from askner.conll import format_conll, parse_conll, read_conll
 from askner.errors import DataError
@@ -85,6 +87,53 @@ def test_writer_rejects_tabs_in_tokens():
     with pytest.raises(DataError, match="tab"):
         format_conll([labeled("s1", ["a\tb"], ["O"])])
 
+
+def _ref_format_conll(sentences):
+    """The writer as it was before it joined each block in one go: every
+    token and tag checked for a tab or newline as its line is built."""
+    blocks = []
+    for sent in sentences:
+        lines = []
+        for token, tag in zip(sent.tokens, sent.tags):
+            if "\t" in token or "\n" in token or "\t" in tag or "\n" in tag:
+                raise DataError(
+                    f"{sent.sentence_id}: token/tag contains tab or newline: "
+                    f"{token!r} / {tag!r}"
+                )
+            lines.append(f"{token}\t{tag}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n" if blocks else ""
+
+
+def _outcome(sentences, writer):
+    try:
+        return writer(sentences)
+    except DataError as e:
+        return ("DataError", str(e))
+
+
+_PART = st.text(st.sampled_from("ab\t\n é"), max_size=4) | st.sampled_from(["O", "B-X", "I-X"])
+
+
+@st.composite
+def _labeled(draw, index):
+    """A sentence of up to four tokens (often none), a tab or newline
+    anywhere in any token or tag."""
+    n = draw(st.sampled_from([0, 0, 1, 2, 3, 4]))
+    tokens = draw(st.lists(_PART, min_size=n, max_size=n))
+    tags = draw(st.lists(_PART, min_size=n, max_size=n))
+    return labeled(f"s{index}", tokens, tags)
+
+
+@seed(26)
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(*(_labeled(i) for i in range(n)))))
+@example(())
+@example((labeled("s0", [], []),))
+@example((labeled("s0", ["a"], ["O"]), labeled("s1", ["a\tb", "c\nd"], ["O", "O"])))
+@example((labeled("s0", ["a\t", "b"], ["\n", "O"]),))
+def test_writer_matches_the_line_by_line_reference(sentences):
+    assert _outcome(sentences, format_conll) == _outcome(sentences, _ref_format_conll)
 
 def test_empty_input_parses_to_nothing():
     assert parse_conll("") == []

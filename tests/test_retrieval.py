@@ -16,6 +16,7 @@ from askner.retrieval import (
     RetrievedPhrase,
     _check_record,
     _phrase_from_record,
+    _rank_sorted,
     check_evidence,
     collect_training_sentences,
     fetch_remote,
@@ -773,6 +774,68 @@ def test_ingest_rejects_missing_fields_and_bad_rank():
         ingest_results([bad_score])
     with pytest.raises(DataError, match="JSON"):
         ingest_results(["{oops"])
+
+
+def _ref_rank_sorted(records, question_id=None):
+    """The results grouping as it was before its one-pass form: every hit
+    kept in a {rank: (hit, where)} map per question, each question's ranks
+    sorted once the stream is read, then its scores checked."""
+    groups = {}
+    for obj, where in records:
+        if question_id is not None and isinstance(obj, dict):
+            obj = dict(obj, question_id=question_id)
+        p = _phrase_from_record(obj, where)
+        per_q = groups.setdefault(p.question_id, {})
+        if p.rank in per_q:
+            raise DataError(
+                f"{where}: duplicate rank {p.rank} for question {p.question_id!r} "
+                f"(first at {per_q[p.rank][1]})"
+            )
+        per_q[p.rank] = (p, where)
+    out = {}
+    for qid, per_q in groups.items():
+        ranked = [per_q[r] for r in sorted(per_q)]
+        for (prev, _), (cur, where) in zip(ranked, ranked[1:]):
+            if cur.score > prev.score:
+                raise DataError(
+                    f"{where}: score {cur.score} at rank {cur.rank} exceeds "
+                    f"score {prev.score} at rank {prev.rank} for question {qid!r}"
+                )
+        out[qid] = [p for p, _ in ranked]
+    return out
+
+
+@st.composite
+def _ranked_streams(draw):
+    """(record, where) pairs over up to three questions: ranks shuffled, a
+    few of them repeated, scores that mostly fall as rank rises but now and
+    then tie or rise, and now and then a record that fails its own checks
+    (rank 0, a phrase that is not a string, not an object)."""
+    n = draw(st.integers(0, 14))
+    qids = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    ranks = list(draw(st.permutations(range(1, n + 1))))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if n else 0):
+        ranks[draw(st.integers(0, n - 1))] = ranks[draw(st.integers(0, n - 1))]
+    stream = []
+    for i, (qid, rank) in enumerate(zip(qids, ranks)):
+        bump = draw(st.sampled_from([0.0] * 6 + [1.0, 50.0]))
+        rec = phrase(qid=qid, rank=rank, score=100.0 - rank + bump).to_record()
+        if not draw(st.integers(0, 11)):
+            rec = draw(st.sampled_from([dict(rec, rank=0), dict(rec, phrase=None), [rec]]))
+        stream.append((rec, f"src:{i + 1}"))
+    return stream
+
+
+@seed(26)
+@settings(max_examples=500, deadline=None)
+@given(_ranked_streams(), st.sampled_from([None, "a"]))
+@example([(phrase(rank=3).to_record(), "src:1"), (phrase(rank=3).to_record(), "src:2")], None)
+@example([(phrase(rank=2, score=5.0).to_record(), "src:1"),
+          (phrase(rank=1, score=4.0).to_record(), "src:2")], None)
+def test_rank_grouping_matches_the_two_pass_reference(stream, question_id):
+    assert _outcome(_rank_sorted, stream, question_id) == _outcome(
+        _ref_rank_sorted, stream, question_id
+    )
 
 
 def _reject_second_record(tmp_path, monkeypatch, source, field, value, message):
