@@ -1,4 +1,4 @@
-"""The back half of a split corpus read, walked by a forked reader process.
+"""The back half of a corpus read, walked by a forked reader process.
 
 ``retrieval.load_corpus`` cuts the file at the first line end after its
 byte midpoint and starts a ``BackHalf``. ``fork`` hands the reader the
@@ -6,20 +6,20 @@ path, ``keep`` and ``visit`` without copying them. The reader counts the
 lines before the cut, walks its half with ``walk_corpus``, and sends back
 marshal frames over a pipe: that count; then ``(id, text, surfaces,
 held)`` for each record in line order, ``_FRAME_RECORDS`` to a frame (text
-and surfaces are None for a record neither held nor visited); then
-``(records, message of its DataError or None)``. It stops at its first
-DataError, its own repeated ids included. It buffers every frame until its
-walk is done: writing as it went, it would block on the full pipe until
-the command had read its own half. The command merges the frames in line
-order (``BackHalf.merge``).
+and surfaces are None for a record neither held nor visited); then the
+number of records. It stops at its first DataError, its own repeated ids
+included, which ``forked`` sends back in place of that number. It buffers
+every frame until its walk is done: writing as it went, it would block on
+the full pipe until the command had read its own half. The command merges
+the frames in line order (``BackHalf.merge``).
 
 The reader is a ``forked.Forked`` child: it ignores SIGINT,
-``BackHalf.close`` stops it, and a reader that dies, or meets any other
-exception, exits before its last frame, so the wait for that frame ends in
-an InternalInvariantError, never a hang.
+``BackHalf.close`` stops it, and a reader that dies exits before its last
+frame, so the wait for that frame ends in an InternalInvariantError, never
+a hang.
 
-``load_corpus`` imports this module only when it splits a read, so a
-command that reads its corpus in one part neither compiles nor loads it.
+``load_corpus`` imports this module when it reads a corpus, since this one
+imports ``retrieval``.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class BackHalf:
         visit: Mapping[str, Callable] | None,
     ) -> "BackHalf | None":
         """Fork the reader of the bytes after the cut. Return None, and
-        the command reads the whole file, if there are none or the fork
-        fails."""
+        the command reads the whole file, if there are none or
+        ``Forked.start`` does not fork."""
         with open(path, "rb") as fh:
             size = fh.seek(0, os.SEEK_END)
             fh.seek(size // 2)
@@ -89,9 +89,10 @@ class BackHalf:
         """Add the back half to the front half's ``out``, in line order:
         check each id against the front's held (``out``) and unheld
         (``unkept``) ids, build held sentences through ``surfaces``, and run
-        ``visit``'s callbacks here. Raise the back half's first error;
-        otherwise return how many records it holds. Each frame is rebuilt
-        and dropped before the next is read."""
+        ``visit``'s callbacks here. Raise the back half's first error
+        (the reader's own comes from ``recv``); otherwise return how many
+        records it holds. Each frame is rebuilt and dropped before the next
+        is read."""
         first = self._reader.recv()
         index = 0
         while type(frame := self._reader.recv()) is list:
@@ -109,10 +110,7 @@ class BackHalf:
                     callback(sent)
                 if held:
                     out[sid] = sent
-        count, error = frame
-        if error is not None:
-            raise DataError(error)
-        return count
+        return frame
 
     def _where(self, first: int, index: int) -> str:
         """The location of the back half's record ``index`` (0-based), found
@@ -140,7 +138,6 @@ def read_back(
     frames = []
     records: list[tuple] = []
     seen: set[str] = set()
-    error = None
     try:
         with open(path, "rb") as fh:
             first = 1
@@ -163,10 +160,9 @@ def read_back(
                 if len(records) == _FRAME_RECORDS:
                     frames.append(marshal.dumps(records))
                     records = []
-    except DataError as e:
-        error = str(e)
-    if records:
-        frames.append(marshal.dumps(records))
-    frames.append(marshal.dumps((len(seen), error)))
-    for frame in frames:
-        link.send_bytes(frame)
+    finally:  # the records before an error come before it
+        if records:
+            frames.append(marshal.dumps(records))
+        for frame in frames:
+            link.send_bytes(frame)
+    link.send(len(seen))

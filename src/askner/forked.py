@@ -1,22 +1,36 @@
-"""A helper process forked from this one, and the frames it exchanges with it.
+"""A helper process forked from this one: when to fork it, the frames it
+exchanges with this process, and how its errors come back.
 
 Three helpers each run in one: the corpus's back-half reader
-(``backhalf``), ``generate``'s dataset writer (``pipeline._write_dataset``)
-and ``selftrain``'s validation scorer (``selftrain._score_states``). A frame
-is an 8-byte little-endian length and that many bytes, most often a
-``marshal`` dump. The child writes frames to one pipe and, when started
-with ``replies``, reads the parent's from another.
+(``backhalf``), ``generate``'s dataset writer (``pipeline._write_back``)
+and ``selftrain``'s validation scorer (``selftrain._score_states``).
+``Forked.start`` forks one only when that can pay and is safe: this process
+may run on a second CPU (on one, the helper would only compete with it and
+add its handoff), the platform has ``os.fork``, and no other thread runs (a
+process forked while another thread holds a lock can deadlock; ``generate``'s
+fetch threads have all ended before it reads the corpus). Otherwise, or when
+the pipes or the fork fail, it returns None and the caller does the work
+itself.
+
+A frame is an 8-byte little-endian header and the number of bytes it
+names, most often a ``marshal`` dump. The child writes frames to one pipe
+and, when started with ``replies``, reads the parent's from another. An
+exception that the child's work raises ends its frames: it is pickled into
+an error frame, whose header has its top bit set, and ``Forked.recv`` and
+``Forked.recv_after`` raise it in the parent, after every frame before it.
+An exception that cannot be pickled and unpickled is sent as an
+InternalInvariantError naming the helper instead.
 
 The child ignores SIGINT, which reaches the whole process group: the parent
 handles it, and ``Forked.close`` stops the child with SIGTERM and reaps it.
 The child leaves through ``os._exit``, never through the parent's
-``finally`` blocks or exit handlers: with 0 once its work returns, 1 after
-any exception. A child that exits before sending a frame the parent waits
-for has closed its end of the pipe, so the wait ends in EOF and an
-InternalInvariantError naming its exit code, never a hang.
+``finally`` blocks or exit handlers. A child that exits before sending a
+frame the parent waits for has closed its end of the pipe, so the wait ends
+in EOF and an InternalInvariantError naming its exit code, never a hang.
 
-Modules import this one only when they fork, so a command that forks
-nothing neither compiles nor loads it.
+Modules import this one where they may fork, and ``pipeline`` where it
+sizes the remote fetch pool, so a command that does neither (``eval``,
+``judge-stats``) neither compiles nor loads it.
 """
 
 from __future__ import annotations
@@ -24,9 +38,22 @@ from __future__ import annotations
 import marshal
 import os
 import signal
+import threading
 from typing import BinaryIO, Callable
 
 from .errors import InternalInvariantError
+
+# The header bit that marks an error frame.
+_ERROR = 1 << 63
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: the one CPU count the package reads,
+    for the fork policy and the width of the remote fetch pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 class Link:
@@ -65,39 +92,49 @@ class Forked:
     ) -> "Forked | None":
         """Fork a child that runs ``work`` with a ``Link`` to this process,
         which may send it frames if ``replies``. Return None, and the caller
-        does the work itself, if the fork fails with an OSError (no process
-        to spare)."""
-        up = os.pipe()  # child -> parent
-        down = os.pipe() if replies else ()  # parent -> child
+        does the work itself, when the module docstring's terms do not hold
+        or a pipe or the fork fails with an OSError (no process or file to
+        spare)."""
+        if available_cpus() < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+            return None
+        fds: list[int] = []
         try:
+            fds += os.pipe()  # child -> parent
+            if replies:
+                fds += os.pipe()  # parent -> child
             pid = os.fork()
         except BaseException as e:
-            for fd in (*up, *down):
+            for fd in fds:
                 os.close(fd)
             if isinstance(e, OSError):
                 return None
             raise
+        up_read, up_write, *down = fds
         if pid == 0:  # the child
             code = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(up[0])
+                os.close(up_read)
                 if down:
                     os.close(down[1])
-                work(Link(open(down[0], "rb") if down else None, open(up[1], "wb")))
+                outbound = open(up_write, "wb")
+                try:
+                    work(Link(open(down[0], "rb") if down else None, outbound))
+                except Exception as e:
+                    _write_frame(outbound, _pickled(name, e), _ERROR)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(up[1])
+        os.close(up_write)
         if down:
             os.close(down[0])
-        return cls(name, pid, open(up[0], "rb"), open(down[1], "wb") if down else None)
+        return cls(name, pid, open(up_read, "rb"), open(down[1], "wb") if down else None)
 
     def recv(self) -> object:
-        """The child's next frame, decoded; a child that exited before
-        sending it is an InternalInvariantError naming its exit code."""
-        data = _read_frame(self._inbound)
-        if data is None:
+        """The child's next frame, decoded (see ``_next_size``)."""
+        size = self._next_size()
+        data = self._inbound.read(size)
+        if len(data) < size:
             raise self._died()
         return marshal.loads(data)
 
@@ -105,14 +142,28 @@ class Forked:
         """``head`` followed by the bytes of the child's next frame, in one
         buffer: the frame is read into the space after ``head``, so the two
         are never held apart and then copied together."""
-        size = _read_size(self._inbound)
-        if size is None:
-            raise self._died()
+        size = self._next_size()
         out = bytearray(len(head) + size)
         out[: len(head)] = head
         if self._inbound.readinto(memoryview(out)[len(head) :]) < size:
             raise self._died()
         return out
+
+    def _next_size(self) -> int:
+        """The size of the child's next frame. An error frame's exception is
+        raised here; a child that exited before sending the frame is an
+        InternalInvariantError naming its exit code."""
+        size = _read_size(self._inbound)
+        if size is None:
+            raise self._died()
+        if size & _ERROR:
+            import pickle  # only an error frame needs it
+
+            data = self._inbound.read(size ^ _ERROR)
+            if len(data) < size ^ _ERROR:
+                raise self._died()
+            raise pickle.loads(data)
+        return size
 
     def send(self, obj: object) -> None:
         """Send the child a frame; a child that exited is an
@@ -146,14 +197,27 @@ class Forked:
                 pass
 
 
-def _write_frame(fh: BinaryIO, data: bytes) -> None:
-    fh.write(len(data).to_bytes(8, "little"))
+def _pickled(name: str, error: Exception) -> bytes:
+    """``error`` pickled, if it comes back from a pickle round trip; else an
+    InternalInvariantError that says so, pickled."""
+    import pickle  # only an error frame needs it
+
+    try:
+        data = pickle.dumps(error)
+        pickle.loads(data)
+    except Exception as e:
+        data = pickle.dumps(InternalInvariantError(f"{name} cannot send back {error!r}: {e}"))
+    return data
+
+
+def _write_frame(fh: BinaryIO, data: bytes, flags: int = 0) -> None:
+    fh.write((len(data) | flags).to_bytes(8, "little"))
     fh.write(data)
     fh.flush()
 
 
 def _read_size(fh: BinaryIO) -> int | None:
-    """The next frame's size; None at EOF."""
+    """The next frame's header; None at EOF."""
     head = fh.read(8)
     return int.from_bytes(head, "little") if len(head) == 8 else None
 

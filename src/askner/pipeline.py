@@ -21,7 +21,6 @@ import logging
 import os
 import shutil
 import tempfile
-import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -41,7 +40,7 @@ from .annotator import (
 )
 from .config import PipelineConfig
 from .conll import format_conll, read_conll
-from .errors import ConfigError, DataError, InternalInvariantError
+from .errors import ConfigError, DataError
 from .metrics import (
     EvalReport,
     RetrievalJudgments,
@@ -77,7 +76,7 @@ from .retrieval import (
 from .selftrain import format_training_log, run_self_training
 
 if TYPE_CHECKING:
-    from .forked import Forked, Link
+    from .forked import Link
 
 log = logging.getLogger("askner")
 
@@ -169,28 +168,6 @@ def _dump_json(doc: Mapping) -> str:
 # -- retrieval stage --------------------------------------------------------
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on. It is the width of the remote fetch
-    pool, and work moves to a forked process only when it is above 1 (see
-    ``_may_fork``)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _may_fork() -> bool:
-    """Whether work may move to a forked process: ``selftrain``'s
-    validation scoring, the back half of a corpus read, and the back half
-    of ``generate``'s dataset write. It needs a second CPU, since on one
-    the forked process would only compete with this one and add its
-    handoff; ``os.fork``; and no other thread running, since a process
-    forked while another thread holds a lock can deadlock.
-    ``generate``'s fetch threads have all ended before it reads the
-    corpus."""
-    return _available_cpus() > 1 and hasattr(os, "fork") and threading.active_count() == 1
-
-
 def _fetch_groups(
     config: PipelineConfig, questions: Sequence[SubQuestion]
 ) -> dict[str, list[RetrievedPhrase]]:
@@ -198,8 +175,10 @@ def _fetch_groups(
     group the hits by question id."""
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
+    from .forked import available_cpus
+
     settings = config.retrieval
-    pool = ThreadPoolExecutor(max_workers=min(len(questions), _available_cpus()))
+    pool = ThreadPoolExecutor(max_workers=min(len(questions), available_cpus()))
     try:
         futures = [
             pool.submit(
@@ -298,8 +277,8 @@ def _load_kept(
     source: str,
 ) -> Corpus:
     """Read the corpus once, holding only the sentences in ``keep``, and
-    check every hit in ``groups`` against the sentence it names. The read is
-    split over two processes when ``_may_fork`` allows. A hit on a
+    check every hit in ``groups`` against the sentence it names (the read
+    may be split over two processes, see ``load_corpus``). A hit on a
     sentence that is not kept is checked as that sentence is read; the
     others are checked against the held sentences after the read, in
     results order, so a hit that names no sentence fails there. Hits are
@@ -319,7 +298,7 @@ def _load_kept(
         for p in unkept.pop(sent.sentence_id):
             check(p, sent)
 
-    corpus = load_corpus(path, keep, dict.fromkeys(unkept, check_hits), split=_may_fork())
+    corpus = load_corpus(path, keep, dict.fromkeys(unkept, check_hits))
     for phrases in groups.values():
         for p in phrases:
             if p.sentence_id in keep or p.sentence_id in unkept:
@@ -443,11 +422,6 @@ def _matches(
     return match_sentences(dictionary, sentences, rules) if dictionary.entries else []
 
 
-# The errors a dataset writer sends back by name, to be raised here as they
-# would be had this process met them itself.
-_RELAYED = {e.__name__: e for e in (DataError, InternalInvariantError)}
-
-
 def _write_dataset(
     dictionary: PseudoDictionary, sentences: list[CorpusSentence], rules: RuleSet
 ) -> tuple[bytes, int]:
@@ -455,7 +429,7 @@ def _write_dataset(
     matched against the dictionary, typed, tagged BIO and formatted as
     CoNLL.
 
-    When ``_may_fork`` allows and there are two sentences or more, a forked
+    When there are two sentences or more and ``forked`` forks it, a
     dataset writer (``_write_back``) does the back half of ``sentences``
     while this process does the front half. The untyped matches, the
     labeled sentences and the text of each half die in the process that
@@ -465,32 +439,29 @@ def _write_dataset(
     own and sends back the writer's types. Each side types the other keys
     itself. The writer sends back a newline and its half, encoded, which
     this process reads in after its own half: the two are what
-    ``format_conll`` gives for the whole list. On one CPU, or when the fork
-    fails, the back half is empty.
+    ``format_conll`` gives for the whole list. The writer's errors are
+    raised here as themselves. Unforked, the back half is empty.
 
     ``sentences`` is emptied on the way, so that no sentence outlives its
     use here: the back half once the writer has its own copy, the front half
     once it is tagged (the tags and the tokens are all ``format_conll``
     reads).
     """
+    from .forked import Forked
+
     if not dictionary.entries:
         log.warning("generate: empty dictionary, emitting all-O labels")
-    cut, writer = len(sentences), None
-    if cut >= 2 and _may_fork():
-        from .forked import Forked  # only a split write compiles and loads it
-
-        half = cut // 2
-        writer = Forked.start(
-            "dataset writer",
-            lambda link: _write_back(dictionary, sentences[half:], rules, link),
-            replies=True,
-        )
-        if writer is not None:
-            cut = half
+    half = len(sentences) // 2
+    writer = Forked.start(
+        "dataset writer",
+        lambda link: _write_back(dictionary, sentences[half:], rules, link),
+        replies=True,
+    ) if half else None
+    cut = half if writer else len(sentences)
     try:
         del sentences[cut:]
         spans = _matches(dictionary, sentences, rules)
-        shared = _from_writer(writer) if writer else []
+        shared = writer.recv() if writer else []
         spans.extend(MatchSpan(*occ) for occ in shared)
         typed = assign_types(dictionary, spans)
         del spans
@@ -513,22 +484,12 @@ def _write_dataset(
         dataset = format_conll(labeled).encode("utf-8")
         del labeled
         if writer:
-            entities += _from_writer(writer)
+            entities += writer.recv()
             dataset = writer.recv_after(dataset)
         return dataset, entities
     finally:
         if writer is not None:
             writer.close()
-
-
-def _from_writer(writer: Forked) -> object:
-    """The dataset writer's next frame's payload; its error, if it met one,
-    raised here."""
-    payload, error = writer.recv()
-    if error is not None:
-        kind, message = error
-        raise _RELAYED[kind](message)
-    return payload
 
 
 def _write_back(
@@ -538,28 +499,22 @@ def _write_back(
     link: Link,
 ) -> None:
     """The forked dataset writer's work (see ``_write_dataset``). It sends
-    ``(payload, None)``, or ``(None, (error class name, message))`` if it
-    meets a DataError or an InternalInvariantError: first
-    ``(sentence_id, token_start, token_end, key)`` for each of its matches
-    whose key is claimed by several types; then, once it has received
-    their types, the entities in its half. Last comes a frame of bytes: a
-    newline and its half of the dataset."""
-    try:
-        typed, shared = [], []  # shared: keys claimed by several types
-        for span in _matches(dictionary, sentences, rules):
-            (shared if len(dictionary.entries[span.phrase_key].counts) > 1 else typed).append(span)
-        occurrences = [(s.sentence_id, s.token_start, s.token_end, s.phrase_key) for s in shared]
-        link.send((occurrences, None))
-        typed = assign_types(dictionary, typed)
-        typed.extend(
-            MatchSpan(s.sentence_id, s.token_start, s.token_end, s.phrase_key, type_name)
-            for s, type_name in zip(shared, link.recv(), strict=True)
-        )
-        text = "\n" + format_conll(emit_bio(sentences, typed))
-        link.send((len(typed), None))
-        link.send_bytes(text.encode("utf-8"))
-    except tuple(_RELAYED.values()) as e:
-        link.send((None, (type(e).__name__, str(e))))
+    first ``(sentence_id, token_start, token_end, key)`` for each of its
+    matches whose key is claimed by several types; then, once it has
+    received their types, the entities in its half. Last comes a frame of
+    bytes: a newline and its half of the dataset."""
+    typed, shared = [], []  # shared: keys claimed by several types
+    for span in _matches(dictionary, sentences, rules):
+        (shared if len(dictionary.entries[span.phrase_key].counts) > 1 else typed).append(span)
+    link.send([(s.sentence_id, s.token_start, s.token_end, s.phrase_key) for s in shared])
+    typed = assign_types(dictionary, typed)
+    typed.extend(
+        MatchSpan(s.sentence_id, s.token_start, s.token_end, s.phrase_key, type_name)
+        for s, type_name in zip(shared, link.recv(), strict=True)
+    )
+    text = "\n" + format_conll(emit_bio(sentences, typed))
+    link.send(len(typed))
+    link.send_bytes(text.encode("utf-8"))
 
 
 @contextmanager
@@ -695,7 +650,7 @@ def cmd_selftrain(
     if not validation:
         raise DataError(f"{validation_path}: no sentences")
     if unlabeled_path is not None:
-        unlabeled = [s.tokens for s in load_corpus(unlabeled_path, split=_may_fork()).values()]
+        unlabeled = [s.tokens for s in load_corpus(unlabeled_path).values()]
         if not unlabeled:
             raise DataError(f"{unlabeled_path}: no sentences")
     else:
@@ -710,7 +665,6 @@ def cmd_selftrain(
         validation=validation,
         tagger_factory=AveragedPerceptronTagger,
         config=schedule,
-        score_in_worker=_may_fork(),
     )
     for record in result.rounds:
         log.info(

@@ -23,10 +23,10 @@ is not UTF-8, and then through ``jsonl_records``: ``raw_decode`` takes a
 line whose value runs up to its newline, and ``json.loads`` every other
 line, so each line reads, or fails, as ``json.loads`` makes it.
 
-``load_corpus`` can read a corpus on two CPUs: a forked reader (module
-``backhalf``) decodes and checks the back half of the file while this
-process reads the front half, and the halves are merged in file order,
-giving what one read gives.
+``load_corpus`` reads a corpus on two CPUs when ``forked`` forks its
+reader (module ``backhalf``), which decodes and checks the back half of the
+file while this process reads the front half; the halves are merged in file
+order, giving what one read gives.
 """
 
 from __future__ import annotations
@@ -267,8 +267,6 @@ def load_corpus(
     path: str | Path,
     keep: Container[str] | None = None,
     visit: Mapping[str, Callable[[CorpusSentence], None]] | None = None,
-    *,
-    split: bool = False,
 ) -> Corpus:
     """Read a JSONL corpus into an ordered {sentence_id: sentence} map.
 
@@ -281,22 +279,20 @@ def load_corpus(
     is read, in line order. Held sentences share equal token surfaces
     through a {surface: surface} memo that lives for this call only.
 
-    With ``split`` (which needs ``os.fork``), the file is cut at the first
-    line end after its byte midpoint, and a forked reader (``backhalf``)
-    walks the back half while this process walks the front half; the back
-    half is then merged in line order. The result, and the first error, are
-    the ones a single read gives. A file with nothing after the cut is read
-    here, in one part.
+    The file is cut at the first line end after its byte midpoint, and a
+    forked reader (``backhalf``) walks the back half while this process
+    walks the front half; the back half is then merged in line order. The
+    result, and the first error, are the ones a single read gives. A file
+    with nothing after the cut, or whose reader ``forked`` does not fork,
+    is read here, in one part.
     """
+    from .backhalf import BackHalf  # here, since it imports this module
+
     source = str(path)
     out = Corpus()
     unkept: set[str] = set()
     surfaces: dict[str, str] = {}
-    back = None
-    if split:
-        from .backhalf import BackHalf  # only a split read compiles and loads it
-
-        back = BackHalf.start(path, source, keep, visit)
+    back = BackHalf.start(path, source, keep, visit)
     try:
         with open(path, "rb") as fh:
             lines = text_lines(fh, source, size=back.cut if back else -1)

@@ -14,16 +14,14 @@ full relabel would give it, so every output is the same.
 
 Each state the loop snapshots, the teacher's and then each student's, is
 scored on validation, and the report is collected one round later, once the
-next student has trained. Validation runs in one of two places. With
-``score_in_worker`` a validation scorer, a ``forked.Forked`` child forked
-when the run starts, restores each snapshot and scores it while the parent
-relabels and trains the next round, so a second CPU takes the scoring off
-the training path; it is stopped when the run ends or fails, and exits by
-itself if the parent dies. Otherwise, or if the fork fails, ``_evaluate``
-runs inline on the live tagger: on one CPU the scorer only competes with
-training and adds a restore and a pipe transfer per round. Both give the
-same reports, because the scorer scores exactly the checkpoint bytes and
-``restore`` round-trips exactly.
+next student has trained. Validation runs in one of two places. When
+``forked`` forks it as the run starts, a validation scorer restores each
+snapshot and scores it while the parent relabels and trains the next round,
+so a second CPU takes the scoring off the training path; it is stopped when
+the run ends or fails, and exits by itself if the parent dies. Otherwise
+``_evaluate`` runs inline on the live tagger. Both give the same reports,
+because the scorer scores exactly the checkpoint bytes and ``restore``
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -226,7 +224,7 @@ class _ForkedScorer:
     """Scores submitted states in a forked validation scorer (a
     ``forked.Forked`` child running ``_score_states``), one at a time:
     ``submit`` sends the state and returns, ``collect`` waits for that
-    state's report and raises what scoring raised."""
+    state's report; what scoring raised, ``recv`` raises."""
 
     def __init__(self, child: Forked):
         self._child = child
@@ -237,10 +235,7 @@ class _ForkedScorer:
     def collect(self) -> EvalReport:
         import pickle
 
-        ok, value = pickle.loads(self._child.recv())
-        if not ok:
-            raise value
-        return value
+        return pickle.loads(self._child.recv())
 
     def close(self) -> None:
         self._child.close()
@@ -253,9 +248,9 @@ def _score_states(
     link: Link,
 ) -> None:
     """The validation scorer's work: restore each state the parent sends
-    into a fresh tagger, score it and send back ``(True, report)`` or
-    ``(False, exception)``, pickled. It returns once the parent closes its
-    end of the pipe, as it does when it dies."""
+    into a fresh tagger, score it and send back its report, pickled. It
+    returns once the parent closes its end of the pipe, as it does when it
+    dies."""
     import pickle
 
     while True:
@@ -263,20 +258,9 @@ def _score_states(
             state = link.recv()
         except EOFError:
             return
-        try:
-            tagger = tagger_factory()
-            tagger.restore(state)
-            result = (True, _evaluate(tagger, validation, gold))
-        except Exception as e:
-            result = (False, e)
-        try:
-            payload = pickle.dumps(result)
-            pickle.loads(payload)
-        except Exception as e:
-            payload = pickle.dumps((False, InternalInvariantError(
-                f"validation scorer cannot send back {result[1]!r}: {e}"
-            )))
-        link.send(payload)
+        tagger = tagger_factory()
+        tagger.restore(state)
+        link.send(pickle.dumps(_evaluate(tagger, validation, gold)))
 
 
 def run_self_training(
@@ -285,8 +269,6 @@ def run_self_training(
     validation: Sequence[LabeledSentence],
     tagger_factory: Callable[[], TaggerInterface],
     config: SelfTrainConfig,
-    *,
-    score_in_worker: bool = False,
 ) -> SelfTrainResult:
     """Run the teacher-student schedule and return the best round's checkpoint.
 
@@ -298,14 +280,13 @@ def run_self_training(
     rounds winning ties; only it and the state awaiting its score are kept,
     so memory does not grow with the number of rounds.
 
-    Validation runs inline on the live tagger by default. With
-    ``score_in_worker`` one forked validation scorer, started here and
+    When ``forked`` forks it, one validation scorer, started here and
     stopped before this returns, scores each round's snapshot while the
-    next round relabels and trains; that pays only with a second CPU. If
-    the fork fails, scoring runs inline. The results are the same either
-    way. Errors are raised in the order a sequential run meets them: if a
-    round fails while an earlier state's score is outstanding, that score
-    is collected first and its failure, if any, is raised instead.
+    next round relabels and trains; otherwise validation runs inline on the
+    live tagger. The results are the same either way. Errors are raised in
+    the order a sequential run meets them: if a round fails while an
+    earlier state's score is outstanding, that score is collected first and
+    its failure, if any, is raised instead.
     """
     if not generated:
         raise ConfigError("generated dataset is empty")
@@ -314,18 +295,15 @@ def run_self_training(
     if not unlabeled:
         raise ConfigError("no unlabeled sentences to relabel")
 
-    gold = EntitySet.from_sentences(validation)
-    scorer: _InlineScorer | _ForkedScorer = _InlineScorer(validation, gold)
-    if score_in_worker:
-        from .forked import Forked  # only a forked scorer compiles and loads it
+    from .forked import Forked
 
-        child = Forked.start(
-            "validation scorer",
-            lambda link: _score_states(tagger_factory, validation, gold, link),
-            replies=True,
-        )
-        if child is not None:  # else the fork failed, and scoring stays inline
-            scorer = _ForkedScorer(child)
+    gold = EntitySet.from_sentences(validation)
+    child = Forked.start(
+        "validation scorer",
+        lambda link: _score_states(tagger_factory, validation, gold, link),
+        replies=True,
+    )
+    scorer = _ForkedScorer(child) if child else _InlineScorer(validation, gold)
     # (round, student steps, state) whose report is still to be collected;
     # round 0 is the warmed-up teacher.
     outstanding: tuple[int, int, bytes] | None = None

@@ -34,6 +34,7 @@ from askner.cli import main
 from askner.config import load_config
 from askner.conll import read_conll
 from askner.errors import DataError, FetchError, InternalInvariantError
+from askner.forked import Forked
 from askner.metrics import EntitySet, entity_f1
 from askner.normalizer import BUNDLED_STOPWORDS
 from askner.perceptron import AveragedPerceptronTagger
@@ -41,7 +42,7 @@ from askner.pipeline import cmd_generate
 from askner.querygen import build_question_set
 from askner.retrieval import fetch_remote, read_results, serialize_results
 from askner.selftrain import SelfTrainConfig
-from testutil import forked, needs_fork  # noqa: F401 (forked is a fixture)
+from testutil import cpus, forked, needs_fork, recorded_forks  # noqa: F401 (forked is a fixture)
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
@@ -197,66 +198,63 @@ def test_judge_stats_missing_judgment_is_data_error(tmp_path):
 
 @needs_fork
 @pytest.mark.parametrize("data", [DEMO, SYNTH], ids=["demo", "synthetic"])
-def test_generate_outputs_do_not_depend_on_a_split_corpus_read(tmp_path, monkeypatch, data):
-    splits = []
-    load_corpus = pipeline.load_corpus
-
-    def recording(*args, **kwargs):
-        splits.append(kwargs["split"])
-        return load_corpus(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "load_corpus", recording)
-    outputs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(pipeline, "_available_cpus", lambda cpus=cpus: cpus)
-        out = tmp_path / f"gen-{cpus}"
-        rc = main(["-q", "generate", "--config", str(data / "config.yaml"), "--out", str(out)])
+def test_generate_outputs_do_not_depend_on_a_split_corpus_read(tmp_path, data):
+    forks, outputs = {}, {}
+    for n in (1, 2):
+        out = tmp_path / f"gen-{n}"
+        with cpus(n), recorded_forks() as pids:
+            rc = main(["-q", "generate", "--config", str(data / "config.yaml"), "--out", str(out)])
         assert rc == 0
-        outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert splits == [False, True]
+        forks[n] = len(pids)
+        outputs[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert forks == {1: 0, 2: 2}  # the corpus reader and the dataset writer
     assert list(outputs[2]) == ["dataset.conll", "dictionary.tsv", "manifest.json"]
     assert outputs[1] == outputs[2]
 
 
 @needs_fork
-def test_selftrain_unlabeled_pool_does_not_depend_on_a_split_corpus_read(tmp_path, monkeypatch):
+def test_selftrain_unlabeled_pool_does_not_depend_on_a_split_corpus_read(tmp_path):
     config = replace(
         load_config(SYNTH / "config.yaml"),
         selftrain=SelfTrainConfig(t_begin=20, t_update=10, max_iterations=30, seed=1),
     )
-    outputs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(pipeline, "_available_cpus", lambda cpus=cpus: cpus)
-        out = tmp_path / f"selftrain-{cpus}"
-        pipeline.cmd_selftrain(
-            SYNTH / "gold.conll", SYNTH / "validation.conll", config, out,
-            unlabeled_path=SYNTH / "corpus.jsonl",
-        )
-        outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    forks, outputs = {}, {}
+    for n in (1, 2):
+        out = tmp_path / f"selftrain-{n}"
+        with cpus(n), recorded_forks() as pids:
+            pipeline.cmd_selftrain(
+                SYNTH / "gold.conll", SYNTH / "validation.conll", config, out,
+                unlabeled_path=SYNTH / "corpus.jsonl",
+            )
+        forks[n] = len(pids)
+        outputs[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert forks == {1: 0, 2: 2}  # the corpus reader and the validation scorer
     assert outputs[1] == outputs[2]
 
 
 def test_no_fork_while_another_thread_runs(monkeypatch):
-    monkeypatch.setattr(pipeline, "_available_cpus", lambda: 2)
-    assert pipeline._may_fork() is hasattr(os, "fork")
+    def no_pipe():
+        raise AssertionError("a pipe was opened")
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert pipeline._may_fork() is False
+        with cpus(2):
+            assert Forked.start("helper", lambda link: None, replies=True) is None
     finally:
         release.set()
         thread.join()
-    monkeypatch.setattr(pipeline, "_available_cpus", lambda: 1)
-    assert pipeline._may_fork() is False
+    with cpus(1):
+        assert Forked.start("helper", lambda link: None, replies=True) is None
 
 
 # -- input files that are not UTF-8 ----------------------------------------------
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_corpus_that_is_not_utf8_is_a_data_error(tmp_path, monkeypatch, caplog, cpus):
-    monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_corpus_that_is_not_utf8_is_a_data_error(tmp_path, caplog, n):
     demo = tmp_path / "demo"
     shutil.copytree(DEMO, demo)
     corpus = demo / "corpus.jsonl"
@@ -264,7 +262,8 @@ def test_a_corpus_that_is_not_utf8_is_a_data_error(tmp_path, monkeypatch, caplog
     with corpus.open("ab") as fh:
         fh.write(b"\xff\xfe junk\n")
     out = tmp_path / "out"
-    rc = main(["-q", "generate", "--config", str(demo / "config.yaml"), "--out", str(out)])
+    with cpus(n):
+        rc = main(["-q", "generate", "--config", str(demo / "config.yaml"), "--out", str(out)])
     assert rc == 2
     assert f"{corpus}:{lines + 1}: not UTF-8 text (invalid start byte, byte 0xff)" in caplog.text
     assert not out.exists()
@@ -435,31 +434,24 @@ def test_outputs_match_pinned_digests(tmp_path):
 
 
 @needs_fork
-def test_selftrain_outputs_do_not_depend_on_where_validation_runs(tmp_path, monkeypatch, forked):
+def test_selftrain_outputs_do_not_depend_on_where_validation_runs(tmp_path):
     gen = tmp_path / "gen"
     assert main(["-q", "generate", "--config", str(SYNTH / "config.yaml"), "--out", str(gen)]) == 0
-    in_worker = []
-    run_self_training = pipeline.run_self_training
-
-    def recording(*args, **kwargs):
-        in_worker.append(kwargs["score_in_worker"])
-        return run_self_training(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "run_self_training", recording)
     names = ("checkpoint.json", "training_log.jsonl", "report.json", "manifest.json")
-    outputs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(pipeline, "_available_cpus", lambda cpus=cpus: cpus)
-        out = tmp_path / f"selftrain-{cpus}"
-        rc = main([
-            "-q", "selftrain", "--config", str(SYNTH / "config.yaml"),
-            "--dataset", str(gen / "dataset.conll"),
-            "--validation", str(SYNTH / "validation.conll"),
-            "--out", str(out),
-        ])
+    forks, outputs = {}, {}
+    for n in (1, 2):
+        out = tmp_path / f"selftrain-{n}"
+        with cpus(n), recorded_forks() as pids:
+            rc = main([
+                "-q", "selftrain", "--config", str(SYNTH / "config.yaml"),
+                "--dataset", str(gen / "dataset.conll"),
+                "--validation", str(SYNTH / "validation.conll"),
+                "--out", str(out),
+            ])
         assert rc == 0
-        outputs[cpus] = {name: (out / name).read_bytes() for name in names}
-    assert in_worker == [False, True]
+        forks[n] = len(pids)
+        outputs[n] = {name: (out / name).read_bytes() for name in names}
+    assert forks == {1: 0, 2: 1}  # the validation scorer
     assert outputs[1] == outputs[2]
     assert {
         ("selftrain", name): hashlib.sha256(data).hexdigest()
@@ -673,9 +665,9 @@ class _CollectorCheckingTagger(AveragedPerceptronTagger):
 
 @pytest.mark.parametrize("bad_line", [None, "{broken"])
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+@pytest.mark.parametrize("n", [1, pytest.param(2, marks=needs_fork)])
 def test_selftrain_pauses_the_garbage_collector_and_restores_it(
-    tmp_path, monkeypatch, forked, cpus, enabled, bad_line
+    tmp_path, monkeypatch, forked, n, enabled, bad_line
 ):
     # selftrain pauses the cyclic collector for the whole run, the forked
     # scorer included, and afterwards, on success or on a data error, it is
@@ -693,25 +685,29 @@ def test_selftrain_pauses_the_garbage_collector_and_restores_it(
     run_self_training = pipeline.run_self_training
 
     def recording(*args, **kwargs):
-        during.append((gc.isenabled(), kwargs["score_in_worker"]))
+        during.append(gc.isenabled())
         return run_self_training(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_self_training", recording)
     monkeypatch.setattr(pipeline, "AveragedPerceptronTagger", _CollectorCheckingTagger)
-    monkeypatch.setattr(pipeline, "_available_cpus", lambda: cpus)
     args = (SYNTH / "gold.conll", SYNTH / "validation.conll", config, tmp_path / "out", unlabeled)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        if bad_line is None:
-            outcome = pipeline.cmd_selftrain(*args)
-        else:
-            with pytest.raises(DataError, match=re.escape(f"{unlabeled}:") + r"\d+: invalid JSON"):
-                pipeline.cmd_selftrain(*args)
+        with cpus(n):
+            if bad_line is None:
+                outcome = pipeline.cmd_selftrain(*args)
+            else:
+                with pytest.raises(
+                    DataError, match=re.escape(f"{unlabeled}:") + r"\d+: invalid JSON"
+                ):
+                    pipeline.cmd_selftrain(*args)
         after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == ([] if bad_line else [(False, cpus > 1)])
+    assert during == ([] if bad_line else [False])
+    # the corpus reader, and the validation scorer if the pool reads
+    assert len(forked) == (n > 1) * (1 if bad_line else 2)
     if bad_line is None:
         assert outcome.rounds == 3
     assert after is enabled

@@ -28,7 +28,7 @@ from askner.retrieval import (
     serialize_results,
     text_lines,
 )
-from testutil import forked, needs_fork, phrase, sent  # noqa: F401 (forked is a fixture)
+from testutil import cpus, forked, needs_fork, phrase, sent  # noqa: F401 (forked is a fixture)
 
 
 # -- corpus loading ---------------------------------------------------------
@@ -189,10 +189,11 @@ def _line(sid, words):
     return json.dumps(_record(sid, " ".join(words)), ensure_ascii=False).encode("utf-8")
 
 
-def _read(path, split, keep=None, visit_ids=(), raising=None):
-    """What ``load_corpus`` gives: the held sentences in order, the total
-    and the visited sentences, or the error's type and message and the
-    sentences visited before it. Equal held surfaces must be one object."""
+def _read(path, n, keep=None, visit_ids=(), raising=None):
+    """What ``load_corpus`` gives on ``n`` CPUs: the held sentences in
+    order, the total and the visited sentences, or the error's type and
+    message and the sentences visited before it. Equal held surfaces must
+    be one object."""
     visited = []
 
     def callback(sentence):
@@ -201,7 +202,8 @@ def _read(path, split, keep=None, visit_ids=(), raising=None):
             raise RuntimeError(f"callback for {raising}")
 
     try:
-        corpus = load_corpus(path, keep, dict.fromkeys(visit_ids, callback), split=split)
+        with cpus(n):
+            corpus = load_corpus(path, keep, dict.fromkeys(visit_ids, callback))
     except (DataError, RuntimeError) as e:
         return type(e), str(e), visited
     held = [t for s in corpus.values() for t in s.tokens]
@@ -245,8 +247,8 @@ def test_split_read_equals_one_read(tmp_path_factory, case):
     data, keep, visit_ids, raising = case
     path = tmp_path_factory.mktemp("split") / "corpus.jsonl"
     path.write_bytes(data)
-    one = _read(path, False, keep, visit_ids, raising)
-    assert _read(path, True, keep, visit_ids, raising) == one
+    one = _read(path, 1, keep, visit_ids, raising)
+    assert _read(path, 2, keep, visit_ids, raising) == one
 
 
 # Nine lines of equal length: the cut falls after line 5.
@@ -284,9 +286,9 @@ def test_split_read_gives_the_first_fault_of_one_read(
     tmp_path, forked, changes, visit_ids, raising, expected
 ):
     path = _nine(tmp_path, changes)
-    one = _read(path, False, {"b", "h"}, visit_ids, raising)
+    one = _read(path, 1, {"b", "h"}, visit_ids, raising)
     assert len(forked) == 0
-    assert _read(path, True, {"b", "h"}, visit_ids, raising) == one
+    assert _read(path, 2, {"b", "h"}, visit_ids, raising) == one
     assert len(forked) == 1
     assert expected in one[1]
 
@@ -299,21 +301,23 @@ def test_split_read_numbers_lines_as_text_mode_does(tmp_path, forked):
     path = _nine(tmp_path, [(7, b"{broken")], ends)
     with path.open(encoding="utf-8") as fh:
         assert list(fh)[10] == "{broken\n"
-    one = _read(path, False)
+    one = _read(path, 1)
     assert one[1] == (
         f"{path}:11: invalid JSON: Expecting property name enclosed in double quotes: "
         "line 1 column 2 (char 1)"
     )
-    assert _read(path, True) == one
+    assert _read(path, 2) == one
     assert len(forked) == 1
 
 
 @needs_fork
 def test_split_read_shares_surfaces_across_the_halves(tmp_path, forked):
     path = _nine(tmp_path)
-    corpus = load_corpus(path, {"a", "i"}, split=True)
+    with cpus(2):
+        corpus = load_corpus(path, {"a", "i"})
     assert len(forked) == 1
-    assert corpus == load_corpus(path, {"a", "i"}) and corpus.total == 9
+    with cpus(1):
+        assert corpus == load_corpus(path, {"a", "i"}) and corpus.total == 9
     assert list(corpus) == ["a", "i"]
     for front, back in zip(corpus["a"].tokens, corpus["i"].tokens):
         assert front is back
@@ -324,7 +328,7 @@ def test_split_read_shares_surfaces_across_the_halves(tmp_path, forked):
 def test_split_read_of_a_file_with_no_back_half_forks_nothing(tmp_path, forked, data):
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
-    assert _read(path, True) == _read(path, False)
+    assert _read(path, 2) == _read(path, 1)
     assert forked == []
 
 
@@ -337,8 +341,8 @@ def test_an_interrupt_during_a_split_read_stops_the_reader(tmp_path, forked, ind
     def interrupt(sentence):
         raise KeyboardInterrupt
 
-    with pytest.raises(KeyboardInterrupt):
-        load_corpus(path, None, {"abcdefghi"[index]: interrupt}, split=True)
+    with cpus(2), pytest.raises(KeyboardInterrupt):
+        load_corpus(path, None, {"abcdefghi"[index]: interrupt})
     assert len(forked) == 1
 
 
@@ -350,7 +354,7 @@ def test_a_failed_fork_reads_the_file_in_one_part(tmp_path, monkeypatch):
     path = _nine(tmp_path)
     fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _read(path, True, {"c", "g"}) == _read(path, False, {"c", "g"})
+    assert _read(path, 2, {"c", "g"}) == _read(path, 1, {"c", "g"})
     if fds is not None:
         assert len(os.listdir("/proc/self/fd")) == fds
 
@@ -358,8 +362,10 @@ def test_a_failed_fork_reads_the_file_in_one_part(tmp_path, monkeypatch):
 @needs_fork
 def test_a_reader_that_dies_is_an_internal_error(tmp_path, forked, monkeypatch):
     monkeypatch.setattr(backhalf, "read_back", lambda *args: os._exit(7))
-    with pytest.raises(InternalInvariantError, match="corpus reader process exited with code 7"):
-        load_corpus(_nine(tmp_path), split=True)
+    with cpus(2), pytest.raises(
+        InternalInvariantError, match="corpus reader process exited with code 7"
+    ):
+        load_corpus(_nine(tmp_path))
     assert len(forked) == 1
 
 

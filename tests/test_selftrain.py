@@ -23,7 +23,7 @@ from askner.selftrain import (
     run_self_training,
     visit_order,
 )
-from testutil import forked, labeled, needs_fork  # noqa: F401 (forked is a fixture)
+from testutil import cpus, forked, labeled, needs_fork  # noqa: F401 (forked is a fixture)
 
 
 class StubTagger:
@@ -418,9 +418,10 @@ class _CountingTagger(AveragedPerceptronTagger):
 def test_each_round_relabels_exactly_the_visited_sentences(name):
     generated, unlabeled, validation, config = _case(name, 5)
     log = []
-    run_self_training(
-        generated, unlabeled, validation, lambda: _CountingTagger(log), config
-    )
+    with cpus(1):  # validation is scored here, so that the log sees it
+        run_self_training(
+            generated, unlabeled, validation, lambda: _CountingTagger(log), config
+        )
     val_tokens = [s.tokens for s in validation]
     warmup, teacher_eval, *rest = log
     assert warmup == ("train", {i: s.sentence_id for i, s in enumerate(generated)})
@@ -469,7 +470,11 @@ def test_scoring_in_a_worker_gives_the_inline_result(name, seed, forked):
     generated, unlabeled, validation, config = _case(name, seed)
     args = (generated, unlabeled, validation, AveragedPerceptronTagger, config)
     # SelfTrainResult equality covers best, best_round, rounds and every report.
-    assert run_self_training(*args, score_in_worker=True) == run_self_training(*args)
+    with cpus(2):
+        in_worker = run_self_training(*args)
+    assert len(forked) == 1
+    with cpus(1):
+        assert in_worker == run_self_training(*args)
 
 
 @needs_fork
@@ -477,7 +482,11 @@ def test_scoring_in_a_worker_gives_the_inline_result_for_a_stub(forked):
     generated, unlabeled, validation = _data()
     config = SelfTrainConfig(t_begin=4, t_update=2, max_iterations=6, seed=10)
     args = (generated, unlabeled, validation, StubTagger, config)
-    assert run_self_training(*args, score_in_worker=True) == run_self_training(*args)
+    with cpus(2):
+        in_worker = run_self_training(*args)
+    assert len(forked) == 1
+    with cpus(1):
+        assert in_worker == run_self_training(*args)
 
 
 class _ShortTagger(StubTagger):
@@ -489,10 +498,9 @@ class _ShortTagger(StubTagger):
 def test_a_tag_count_mismatch_in_the_worker_is_an_internal_error(forked):
     generated, unlabeled, validation = _data()
     config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=1)
-    with pytest.raises(InternalInvariantError, match="2 tags for 3 tokens in v1"):
-        run_self_training(
-            generated, unlabeled, validation, _ShortTagger, config, score_in_worker=True
-        )
+    with cpus(2), pytest.raises(InternalInvariantError, match="2 tags for 3 tokens in v1"):
+        run_self_training(generated, unlabeled, validation, _ShortTagger, config)
+    assert len(forked) == 1
 
 
 class _FailingTagger(StubTagger):
@@ -510,20 +518,14 @@ class _FailingTagger(StubTagger):
         super().train(dataset, steps, seed)
 
 
-@pytest.mark.parametrize(
-    "score_in_worker", [False, pytest.param(True, marks=needs_fork)]
-)
-def test_a_failed_score_is_raised_before_the_next_rounds_failure(
-    score_in_worker, forked
-):
+@pytest.mark.parametrize("in_worker", [False, pytest.param(True, marks=needs_fork)])
+def test_a_failed_score_is_raised_before_the_next_rounds_failure(in_worker, forked):
     generated, unlabeled, _ = _data()
     validation = [labeled("v1", ["E1", "V"], ["B-T", "O"])]
     config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=3)
-    with pytest.raises(ValueError, match="scoring round 1 failed"):
-        run_self_training(
-            generated, unlabeled, validation, _FailingTagger, config,
-            score_in_worker=score_in_worker,
-        )
+    with cpus(2 if in_worker else 1), pytest.raises(ValueError, match="scoring round 1 failed"):
+        run_self_training(generated, unlabeled, validation, _FailingTagger, config)
+    assert len(forked) == in_worker
 
 
 class _TwoArgumentError(Exception):
@@ -562,10 +564,11 @@ def test_an_error_the_worker_cannot_send_back_is_an_internal_error(
     generated, unlabeled, _ = _data()
     validation = [labeled("v1", ["E1", "V"], ["B-T", "O"])]
     config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=2)
-    with pytest.raises(InternalInvariantError, match="validation scorer cannot send back"):
+    with cpus(2), pytest.raises(
+        InternalInvariantError, match="validation scorer cannot send back"
+    ):
         run_self_training(
-            generated, unlabeled, validation, lambda: _ScoringErrorTagger(make_error),
-            config, score_in_worker=True,
+            generated, unlabeled, validation, lambda: _ScoringErrorTagger(make_error), config
         )
 
 
@@ -587,10 +590,10 @@ class _WorkerKiller(StubTagger):
 def test_a_killed_worker_is_an_internal_error_not_a_hang(forked):
     generated, unlabeled, validation = _data()
     config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=4)
-    raised = _within(lambda: run_self_training(
-        generated, unlabeled, validation, lambda: _WorkerKiller(forked), config,
-        score_in_worker=True,
-    ))
+    with cpus(2):
+        raised = _within(lambda: run_self_training(
+            generated, unlabeled, validation, lambda: _WorkerKiller(forked), config
+        ))
     assert len(forked) == 1
     assert isinstance(raised, InternalInvariantError)
     assert "validation scorer" in str(raised)
@@ -605,10 +608,12 @@ def test_a_failed_fork_scores_inline(monkeypatch):
     generated, unlabeled, validation = _data()
     config = SelfTrainConfig(t_begin=4, t_update=2, max_iterations=6, seed=10)
     args = (generated, unlabeled, validation, StubTagger, config)
-    inline = run_self_training(*args)
+    with cpus(1):
+        inline = run_self_training(*args)
     fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     monkeypatch.setattr(os, "fork", no_fork)
-    assert run_self_training(*args, score_in_worker=True) == inline
+    with cpus(2):
+        assert run_self_training(*args) == inline
     if fds is not None:
         assert len(os.listdir("/proc/self/fd")) == fds
 
@@ -618,16 +623,12 @@ class _WarmupFailure(StubTagger):
         raise ValueError("no data")
 
 
-@pytest.mark.parametrize(
-    "score_in_worker", [False, pytest.param(True, marks=needs_fork)]
-)
-def test_a_failed_teacher_warmup_is_named_and_stops_the_worker(
-    score_in_worker, forked
-):
+@pytest.mark.parametrize("in_worker", [False, pytest.param(True, marks=needs_fork)])
+def test_a_failed_teacher_warmup_is_named_and_stops_the_worker(in_worker, forked):
     generated, unlabeled, validation = _data()
     config = SelfTrainConfig(t_begin=1, t_update=1, max_iterations=1)
-    with pytest.raises(ValueError, match=r"^teacher warmup failed: no data$"):
-        run_self_training(
-            generated, unlabeled, validation, _WarmupFailure, config,
-            score_in_worker=score_in_worker,
-        )
+    with cpus(2 if in_worker else 1), pytest.raises(
+        ValueError, match=r"^teacher warmup failed: no data$"
+    ):
+        run_self_training(generated, unlabeled, validation, _WarmupFailure, config)
+    assert len(forked) == in_worker

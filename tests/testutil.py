@@ -12,12 +12,20 @@ from unittest import mock
 
 import pytest
 
+from askner import forked as forked_module
 from askner.annotator import LabeledSentence
 from askner.retrieval import CorpusSentence, RetrievedPhrase
 
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="the code under test forks a helper process"
 )
+
+
+def cpus(n: int):
+    """This process seen as running on ``n`` CPUs while the block runs: by
+    ``forked.Forked.start``, which forks a helper only with two or more,
+    and by the width of ``generate``'s remote fetch pool."""
+    return mock.patch.object(forked_module, "available_cpus", lambda: n)
 
 
 @contextmanager
