@@ -11,7 +11,11 @@ number of records. It stops at its first DataError, its own repeated ids
 included, which ``forked`` sends back in place of that number. It buffers
 every frame until its walk is done: writing as it went, it would block on
 the full pipe until the command had read its own half. The command merges
-the frames in line order (``BackHalf.merge``).
+the frames in line order (``BackHalf.merge``). It keeps the token tuples
+as ``marshal`` gives them: the reader's surfaces are interned
+(``retrieval.sentence_from_record``), and ``marshal`` loads a string
+dumped interned as this process's own interned string, so the two halves
+share one string per distinct surface with nothing rebuilt.
 
 The reader is a ``forked.Forked`` child: it ignores SIGINT,
 ``BackHalf.close`` stops it, and a reader that dies exits before its last
@@ -41,7 +45,7 @@ from .retrieval import (
     walk_corpus,
 )
 
-# Records per frame. The command rebuilds and drops one frame at a time. On
+# Records per frame. The command builds and drops one frame at a time. On
 # a 10,000-sentence corpus held whole, frames of 500 left its resident size
 # after the read about 0.2 MiB above a single read's, frames of 100 about
 # 0.1 MiB.
@@ -83,16 +87,14 @@ class BackHalf:
         self,
         out: Corpus,
         unkept: set[str],
-        surfaces: dict[str, str],
         visit: Mapping[str, Callable[[CorpusSentence], None]] | None,
     ) -> int:
         """Add the back half to the front half's ``out``, in line order:
         check each id against the front's held (``out``) and unheld
-        (``unkept``) ids, build held sentences through ``surfaces``, and run
-        ``visit``'s callbacks here. Raise the back half's first error
-        (the reader's own comes from ``recv``); otherwise return how many
-        records it holds. Each frame is rebuilt and dropped before the next
-        is read."""
+        (``unkept``) ids, and run ``visit``'s callbacks here. Raise the back
+        half's first error (the reader's own comes from ``recv``); otherwise
+        return how many records it holds. Each frame is dropped before the
+        next is read."""
         first = self._reader.recv()
         index = 0
         while type(frame := self._reader.recv()) is list:
@@ -102,8 +104,6 @@ class BackHalf:
                 index += 1
                 if text is None:
                     continue
-                if held:
-                    tokens = tuple([surfaces.setdefault(s, s) for s in tokens])
                 sent = CorpusSentence(sid, text, tokens)
                 callback = visit.get(sid) if visit else None
                 if callback is not None:
@@ -148,7 +148,7 @@ def read_back(
                 first += line_breaks(chunk)
             frames.append(marshal.dumps(first))
             for where, sid, sent, held, _ in walk_corpus(
-                text_lines(fh, source, first), source, first, keep, visit, {}
+                text_lines(fh, source, first), source, first, keep, visit
             ):
                 if sid in seen:
                     raise DataError(f"{where}: duplicate sentence_id {sid!r}")

@@ -13,12 +13,13 @@ the pipes or the fork fail, it returns None and the caller does the work
 itself.
 
 A frame is an 8-byte little-endian header and the number of bytes it
-names, most often a ``marshal`` dump. The child writes frames to one pipe
-and, when started with ``replies``, reads the parent's from another. An
-exception that the child's work raises ends its frames: it is pickled into
-an error frame, whose header has its top bit set, and ``Forked.recv`` and
-``Forked.recv_after`` raise it in the parent, after every frame before it.
-An exception that cannot be pickled and unpickled is sent as an
+names, most often a ``marshal`` dump. Each helper has two pipes, one each
+way, and ``Link`` reads and writes the frames at both ends: the child's
+end is a ``Link``, the parent's a ``Forked``, which adds the child's pid.
+An exception that the child's work raises ends its frames: it is pickled
+into an error frame, whose header has its top bit set, and ``recv`` and
+``recv_after`` raise it in the parent, after every frame before it. An
+exception that cannot be pickled and unpickled is sent as an
 InternalInvariantError naming the helper instead.
 
 The child ignores SIGINT, which reaches the whole process group: the parent
@@ -57,51 +58,85 @@ def available_cpus() -> int:
 
 
 class Link:
-    """The child's ends of the pipes: ``send`` an object to the parent,
-    ``send_bytes`` bytes as they are, ``recv`` an object from it (EOFError
-    if the parent closed its end)."""
+    """One end of a helper's pair of pipes, which reads and writes every
+    frame: ``send`` an object, ``send_bytes`` bytes as they are, ``recv``
+    an object, ``recv_after`` bytes after a head. ``recv`` and
+    ``recv_after`` raise the exception an error frame holds; a pipe closed
+    at the other end raises ``_closed()``, an EOFError here."""
 
-    def __init__(self, inbound: BinaryIO | None, outbound: BinaryIO):
+    def __init__(self, inbound: BinaryIO, outbound: BinaryIO):
         self._inbound, self._outbound = inbound, outbound
 
     def send(self, obj: object) -> None:
         self.send_bytes(marshal.dumps(obj))
 
     def send_bytes(self, data: bytes) -> None:
-        _write_frame(self._outbound, data)
+        self._write_frame(data, 0)
+
+    def _write_frame(self, data: bytes, flags: int) -> None:
+        try:
+            self._outbound.write((len(data) | flags).to_bytes(8, "little"))
+            self._outbound.write(data)
+            self._outbound.flush()
+        except BrokenPipeError:
+            raise self._closed() from None
 
     def recv(self) -> object:
-        data = _read_frame(self._inbound)
-        if data is None:
-            raise EOFError("the parent closed its pipe")
-        return marshal.loads(data)
+        return marshal.loads(self._read(self._next_size()))
+
+    def recv_after(self, head: bytes) -> bytearray:
+        """``head`` followed by the bytes of the next frame, in one buffer:
+        the frame is read into the space after ``head``, so the two are
+        never held apart and then copied together."""
+        size = self._next_size()
+        out = bytearray(len(head) + size)
+        out[: len(head)] = head
+        if self._inbound.readinto(memoryview(out)[len(head) :]) < size:
+            raise self._closed()
+        return out
+
+    def _next_size(self) -> int:
+        """The size of the next frame; an error frame's exception is raised
+        here."""
+        size = int.from_bytes(self._read(8), "little")
+        if size & _ERROR:
+            import pickle  # only an error frame needs it
+
+            raise pickle.loads(self._read(size ^ _ERROR))
+        return size
+
+    def _read(self, size: int) -> bytes:
+        data = self._inbound.read(size)
+        if len(data) < size:
+            raise self._closed()
+        return data
+
+    def _closed(self) -> Exception:
+        return EOFError("the other end closed its pipe")
 
 
-class Forked:
+class Forked(Link):
     """A forked child process running ``work(link)``, seen from the parent:
-    its pid and the parent's ends of the pipes. ``name`` names it in
-    errors."""
+    the parent's end of the pipes and the child's pid. ``name`` names it in
+    errors: a pipe the child closed, by exiting, is an InternalInvariantError
+    naming its exit code."""
 
-    def __init__(self, name: str, pid: int, inbound: BinaryIO, outbound: BinaryIO | None):
+    def __init__(self, name: str, pid: int, inbound: BinaryIO, outbound: BinaryIO):
+        super().__init__(inbound, outbound)
         self._name, self._pid = name, pid
-        self._inbound, self._outbound = inbound, outbound
 
     @classmethod
-    def start(
-        cls, name: str, work: Callable[[Link], None], *, replies: bool = False
-    ) -> "Forked | None":
-        """Fork a child that runs ``work`` with a ``Link`` to this process,
-        which may send it frames if ``replies``. Return None, and the caller
-        does the work itself, when the module docstring's terms do not hold
-        or a pipe or the fork fails with an OSError (no process or file to
-        spare)."""
+    def start(cls, name: str, work: Callable[[Link], None]) -> "Forked | None":
+        """Fork a child that runs ``work`` with its ``Link`` to this process.
+        Return None, and the caller does the work itself, when the module
+        docstring's terms do not hold or a pipe or the fork fails with an
+        OSError (no process or file to spare)."""
         if available_cpus() < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
             return None
         fds: list[int] = []
         try:
             fds += os.pipe()  # child -> parent
-            if replies:
-                fds += os.pipe()  # parent -> child
+            fds += os.pipe()  # parent -> child
             pid = os.fork()
         except BaseException as e:
             for fd in fds:
@@ -109,71 +144,26 @@ class Forked:
             if isinstance(e, OSError):
                 return None
             raise
-        up_read, up_write, *down = fds
+        up_read, up_write, down_read, down_write = fds
         if pid == 0:  # the child
             code = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(up_read)
-                if down:
-                    os.close(down[1])
-                outbound = open(up_write, "wb")
+                os.close(down_write)
+                link = Link(open(down_read, "rb"), open(up_write, "wb"))
                 try:
-                    work(Link(open(down[0], "rb") if down else None, outbound))
+                    work(link)
                 except Exception as e:
-                    _write_frame(outbound, _pickled(name, e), _ERROR)
+                    link._write_frame(_pickled(name, e), _ERROR)
                 code = 0
             finally:
                 os._exit(code)
         os.close(up_write)
-        if down:
-            os.close(down[0])
-        return cls(name, pid, open(up_read, "rb"), open(down[1], "wb") if down else None)
+        os.close(down_read)
+        return cls(name, pid, open(up_read, "rb"), open(down_write, "wb"))
 
-    def recv(self) -> object:
-        """The child's next frame, decoded (see ``_next_size``)."""
-        size = self._next_size()
-        data = self._inbound.read(size)
-        if len(data) < size:
-            raise self._died()
-        return marshal.loads(data)
-
-    def recv_after(self, head: bytes) -> bytearray:
-        """``head`` followed by the bytes of the child's next frame, in one
-        buffer: the frame is read into the space after ``head``, so the two
-        are never held apart and then copied together."""
-        size = self._next_size()
-        out = bytearray(len(head) + size)
-        out[: len(head)] = head
-        if self._inbound.readinto(memoryview(out)[len(head) :]) < size:
-            raise self._died()
-        return out
-
-    def _next_size(self) -> int:
-        """The size of the child's next frame. An error frame's exception is
-        raised here; a child that exited before sending the frame is an
-        InternalInvariantError naming its exit code."""
-        size = _read_size(self._inbound)
-        if size is None:
-            raise self._died()
-        if size & _ERROR:
-            import pickle  # only an error frame needs it
-
-            data = self._inbound.read(size ^ _ERROR)
-            if len(data) < size ^ _ERROR:
-                raise self._died()
-            raise pickle.loads(data)
-        return size
-
-    def send(self, obj: object) -> None:
-        """Send the child a frame; a child that exited is an
-        InternalInvariantError naming its exit code."""
-        try:
-            _write_frame(self._outbound, marshal.dumps(obj))
-        except BrokenPipeError:
-            raise self._died() from None
-
-    def _died(self) -> InternalInvariantError:
+    def _closed(self) -> InternalInvariantError:
         _, status = os.waitpid(self._pid, 0)
         self._pid = 0
         return InternalInvariantError(
@@ -190,11 +180,10 @@ class Forked:
                 pass
             self._pid = 0
         self._inbound.close()
-        if self._outbound is not None:
-            try:
-                self._outbound.close()
-            except BrokenPipeError:  # a frame the dead child never read
-                pass
+        try:
+            self._outbound.close()
+        except BrokenPipeError:  # a frame the dead child never read
+            pass
 
 
 def _pickled(name: str, error: Exception) -> bytes:
@@ -208,24 +197,3 @@ def _pickled(name: str, error: Exception) -> bytes:
     except Exception as e:
         data = pickle.dumps(InternalInvariantError(f"{name} cannot send back {error!r}: {e}"))
     return data
-
-
-def _write_frame(fh: BinaryIO, data: bytes, flags: int = 0) -> None:
-    fh.write((len(data) | flags).to_bytes(8, "little"))
-    fh.write(data)
-    fh.flush()
-
-
-def _read_size(fh: BinaryIO) -> int | None:
-    """The next frame's header; None at EOF."""
-    head = fh.read(8)
-    return int.from_bytes(head, "little") if len(head) == 8 else None
-
-
-def _read_frame(fh: BinaryIO) -> bytes | None:
-    """A frame's bytes; None at EOF, or if the frame is cut short."""
-    size = _read_size(fh)
-    if size is None:
-        return None
-    data = fh.read(size)
-    return data if len(data) == size else None

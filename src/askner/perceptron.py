@@ -24,7 +24,8 @@ those and passes ``None`` for the rest.
 
 ``snapshot`` writes the whole state as one canonical JSON table, which is
 also the checkpoint file ``selftrain`` writes; ``restore`` reads it back and
-checks every value's type. ``snapshot`` writes each row straight to text
+checks every value's type, and that the state is one ``snapshot`` writes
+again byte for byte. ``snapshot`` writes each row straight to text
 rather than building a list per row for ``json.dumps``: the row lists cost
 more to build than to encode, and at scale they set off cyclic garbage
 collections. The bytes are still the ones ``json.dumps`` gives, because
@@ -120,11 +121,13 @@ _ROW_KINDS = {
 def _check_state(obj: object) -> None:
     """Raise DataError naming the first fault ``restore`` met in a decoded
     state: a fault in its three fields (``check_fields``), tags that do not
-    start with "O", a tag that is not a string or repeats one, a params row
-    that does not unpack into five fields or whose feature or tag is an
-    array or an object, a row field not of its kind in ``_ROW_KINDS``, and,
-    once every row has its form, a row whose tag is not in tags."""
-    tags, _, params = check_fields(
+    start with "O", a tag that is not a string or repeats one, negative
+    ticks, a params row that does not unpack into five fields or whose
+    feature or tag is an array or an object, a row field not of its kind in
+    ``_ROW_KINDS``, and, once every row has its form, a row whose tag is not
+    in tags, whose stamp is not in [0, ticks], or whose (feature, tag) does
+    not sort after the previous row's, as ``snapshot`` writes them."""
+    tags, ticks, params = check_fields(
         obj, "checkpoint", {"tags": "an array", "ticks": "an integer", "params": "an array"}
     )
     if not tags or tags[0] != "O":
@@ -133,6 +136,8 @@ def _check_state(obj: object) -> None:
         check_value(tag, f"checkpoint: tags[{i}]", "a string")
         if tag in tags[:i]:
             raise DataError(f"checkpoint: tags repeat {tag!r}")
+    if ticks < 0:
+        raise DataError(f"checkpoint: ticks must not be negative, got {ticks}")
     for i, row in enumerate(params):
         try:
             feat, tag, _, _, _ = row
@@ -143,9 +148,17 @@ def _check_state(obj: object) -> None:
             ) from None
         for (field, kind), value in zip(_ROW_KINDS.items(), row):
             check_value(value, f"checkpoint: params row {i} {field}", kind)
-    for i, (_, tag, _, _, _) in enumerate(params):
+    prev: tuple = ()
+    for i, (feat, tag, _, _, stamp) in enumerate(params):
+        where = f"checkpoint: params row {i}"
         if tag not in tags:
-            raise DataError(f"checkpoint: params row {i} tag {tag!r} is not in tags")
+            raise DataError(f"{where} tag {tag!r} is not in tags")
+        if not 0 <= stamp <= ticks:
+            raise DataError(f"{where} stamp must be in [0, ticks {ticks}], got {stamp}")
+        if (feat, tag) <= prev:
+            fault = "repeats" if (feat, tag) == prev else "sorts before"
+            raise DataError(f"{where} {fault} the feature and tag of row {i - 1}")
+        prev = feat, tag
 
 
 class AveragedPerceptronTagger:
@@ -335,10 +348,13 @@ class AveragedPerceptronTagger:
         object, a missing field, a malformed params row, a value of the
         wrong type, such as a NaN weight or a boolean stamp, tags that are
         empty, do not start with "O" or repeat one, or a row whose tag is
-        not in tags, which ``predict`` could not decode. A well-formed
-        state is checked in one pass as it is read; ``_check_state`` words
-        the first fault of any other. A failed restore
-        leaves the tagger as it was."""
+        not in tags, which ``predict`` could not decode. So that the state
+        snapshots back to the same bytes, ticks must not be negative, each
+        row's stamp must be in [0, ticks], and the rows must be in
+        ``snapshot``'s order, each (feature, tag) sorting after the one
+        before it, so that none repeats. A well-formed state is checked in one pass as it
+        is read; ``_check_state`` words the first fault of any other. A
+        failed restore leaves the tagger as it was."""
         try:
             obj = json.loads(state)
         except (TypeError, ValueError, RecursionError) as e:
@@ -347,7 +363,7 @@ class AveragedPerceptronTagger:
             tags, ticks, params = obj["tags"], obj["ticks"], obj["params"]
             if not (
                 type(tags) is list and all(type(tag) is str for tag in tags)
-                and tags and tags[0] == "O" and type(ticks) is int
+                and tags and tags[0] == "O" and type(ticks) is int and ticks >= 0
             ):
                 raise TypeError
             known = set(tags)
@@ -356,15 +372,19 @@ class AveragedPerceptronTagger:
             weights: dict[str, dict[str, float]] = {}
             acc: dict[tuple[str, str], tuple[float, int]] = {}
             lo, hi = -sys.float_info.max, sys.float_info.max
+            prev: tuple = ()
             for feat, tag, w, total, stamp in params:
+                key = feat, tag
                 if not (
-                    type(feat) is str and tag in known and type(stamp) is int
+                    type(feat) is str and tag in known and prev < key
+                    and type(stamp) is int and 0 <= stamp <= ticks
                     and (type(w) is float or type(w) is int) and lo <= w <= hi
                     and (type(total) is float or type(total) is int) and lo <= total <= hi
                 ):
                     raise TypeError
                 weights.setdefault(feat, {})[tag] = w
-                acc[feat, tag] = (total, stamp)
+                acc[key] = (total, stamp)
+                prev = key
         except (KeyError, TypeError, ValueError):
             _check_state(obj)
             raise

@@ -453,9 +453,7 @@ def _write_dataset(
         log.warning("generate: empty dictionary, emitting all-O labels")
     half = len(sentences) // 2
     writer = Forked.start(
-        "dataset writer",
-        lambda link: _write_back(dictionary, sentences[half:], rules, link),
-        replies=True,
+        "dataset writer", lambda link: _write_back(dictionary, sentences[half:], rules, link)
     ) if half else None
     cut = half if writer else len(sentences)
     try:

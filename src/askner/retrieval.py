@@ -5,8 +5,9 @@ question, it returns ranked (phrase, evidence sentence) pairs. This module
 owns the corpus and results file formats, validation, the per-question
 sentence budget, and the HTTP client for the retrieval service. Every field
 of both formats must have its JSON type; nothing is coerced. Token offsets
-are checked when a corpus record is read and are not kept; the sentences
-one corpus read holds share their repeated token strings.
+are checked when a corpus record is read and are not kept; each token
+surface is interned (``sys.intern``), so every sentence built shares one
+string per distinct surface.
 
 One function checks each record kind: ``_check_record`` a corpus record,
 ``_check_tokens`` its tokens, ``_phrase_from_record`` a results record.
@@ -36,6 +37,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from sys import intern
 from typing import BinaryIO, Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, FetchError, PipelineError, check_fields
@@ -113,19 +115,14 @@ def _check_tokens(text: str, tokens: list, where: str) -> None:
         prev_end = end
 
 
-def sentence_from_record(
-    obj: object, where: str = "<corpus>", surfaces: dict[str, str] | None = None
-) -> CorpusSentence:
+def sentence_from_record(obj: object, where: str = "<corpus>") -> CorpusSentence:
     """Decode and check one corpus record; nothing is coerced, and only the
-    token surfaces are kept. With ``surfaces``, a {surface: surface} memo,
-    each surface is replaced by the equal string the memo already holds, and
-    new ones are added, so sentences read through one memo share their words.
+    token surfaces are kept, each interned, so sentences share their words.
 
     A record with several faults reports the first record-level one, else
     the first token whose type is wrong, else the first token misplaced."""
     _check_record(obj, where)
-    memo = {} if surfaces is None else surfaces
-    toks = tuple([memo.setdefault(s, s) for s, _, _ in obj["tokens"]])
+    toks = tuple([intern(s) for s, _, _ in obj["tokens"]])
     return CorpusSentence(sentence_id=obj["sentence_id"], text=obj["text"], tokens=toks)
 
 
@@ -242,21 +239,19 @@ def walk_corpus(
     first: int,
     keep: Container[str] | None,
     visit: Mapping[str, Callable[[CorpusSentence], None]] | None,
-    surfaces: dict[str, str],
 ) -> Iterator[tuple[str, str, CorpusSentence | None, bool, Callable | None]]:
     """The corpus line walker both halves of a read use. Decode and check
     each record of ``lines`` and yield ``(where, sentence_id, sentence,
-    held, callback)``: the sentence is built, held ones through the
-    ``surfaces`` memo, only if ``keep`` holds it or ``visit`` has a callback
-    for it. Ids are not checked for repeats here."""
+    held, callback)``: the sentence is built only if ``keep`` holds it or
+    ``visit`` has a callback for it. Ids are not checked for repeats here."""
     for obj, where in jsonl_records(lines, source, first):
-        # the id is read ahead so that only held sentences enter the memo
+        # the id is read ahead so that only the sentences needed are built
         sid = obj.get("sentence_id") if isinstance(obj, dict) else None
         named = isinstance(sid, str)
         held = keep is None or (named and sid in keep)
         callback = visit.get(sid) if visit and named else None
         if held or callback is not None:
-            sent = sentence_from_record(obj, where, surfaces if held else None)
+            sent = sentence_from_record(obj, where)
         else:
             _check_record(obj, where)
             sent = None
@@ -276,8 +271,7 @@ def load_corpus(
     without being built and leave just their id behind, for the duplicate
     check. ``visit``, if given, maps sentence ids to callbacks: the sentence
     with such an id, held or not, is built and passed to its callback as it
-    is read, in line order. Held sentences share equal token surfaces
-    through a {surface: surface} memo that lives for this call only.
+    is read, in line order. Equal token surfaces are one interned string.
 
     The file is cut at the first line end after its byte midpoint, and a
     forked reader (``backhalf``) walks the back half while this process
@@ -291,14 +285,11 @@ def load_corpus(
     source = str(path)
     out = Corpus()
     unkept: set[str] = set()
-    surfaces: dict[str, str] = {}
     back = BackHalf.start(path, source, keep, visit)
     try:
         with open(path, "rb") as fh:
             lines = text_lines(fh, source, size=back.cut if back else -1)
-            for where, sid, sent, held, callback in walk_corpus(
-                lines, source, 1, keep, visit, surfaces
-            ):
+            for where, sid, sent, held, callback in walk_corpus(lines, source, 1, keep, visit):
                 if sid in out or sid in unkept:
                     raise DataError(f"{where}: duplicate sentence_id {sid!r}")
                 if callback is not None:
@@ -309,7 +300,7 @@ def load_corpus(
                     unkept.add(sid)
         out.total = len(out) + len(unkept)
         if back is not None:
-            out.total += back.merge(out, unkept, surfaces, visit)
+            out.total += back.merge(out, unkept, visit)
     finally:
         if back is not None:
             back.close()

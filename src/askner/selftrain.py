@@ -13,15 +13,16 @@ about ``t_update`` decodes, not the pool's size. Each label is the one a
 full relabel would give it, so every output is the same.
 
 Each state the loop snapshots, the teacher's and then each student's, is
-scored on validation, and the report is collected one round later, once the
-next student has trained. Validation runs in one of two places. When
-``forked`` forks it as the run starts, a validation scorer restores each
-snapshot and scores it while the parent relabels and trains the next round,
-so a second CPU takes the scoring off the training path; it is stopped when
-the run ends or fails, and exits by itself if the parent dies. Otherwise
-``_evaluate`` runs inline on the live tagger. Both give the same reports,
-because the scorer scores exactly the checkpoint bytes and ``restore``
-round-trips exactly.
+submitted for scoring on validation, and its report is received one round
+later, once the next student has trained. Validation runs in one of two
+places, chosen once per run. When ``forked`` forks it as the run starts, a
+validation scorer restores each snapshot and scores it while the parent
+relabels and trains the next round, so a second CPU takes the scoring off
+the training path; it is stopped when the run ends or fails, and exits by
+itself if the parent dies. Otherwise ``_evaluate`` runs inline on the live
+tagger as the state is submitted, and the report waits with the state.
+Both give the same reports, because the scorer scores exactly the
+checkpoint bytes and ``restore`` round-trips exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import ConfigError, InternalInvariantError, check_value
 from .metrics import EntitySet, EvalReport, entity_f1, extract_entities
 
 if TYPE_CHECKING:
-    from .forked import Forked, Link
+    from .forked import Link
 
 #: Reference step schedules (t_begin, t_update) tuned per benchmark family.
 SCHEDULE_PRESETS: dict[str, tuple[int, int]] = {
@@ -202,45 +203,6 @@ def _evaluate(
     return entity_f1(gold, entities)
 
 
-class _InlineScorer:
-    """Scores the live tagger in this process when its state is submitted."""
-
-    def __init__(self, validation: Sequence[LabeledSentence], gold: EntitySet):
-        self._validation = validation
-        self._gold = gold
-        self._report: EvalReport | None = None
-
-    def submit(self, tagger: TaggerInterface, state: bytes) -> None:
-        self._report = _evaluate(tagger, self._validation, self._gold)
-
-    def collect(self) -> EvalReport:
-        return self._report
-
-    def close(self) -> None:
-        pass
-
-
-class _ForkedScorer:
-    """Scores submitted states in a forked validation scorer (a
-    ``forked.Forked`` child running ``_score_states``), one at a time:
-    ``submit`` sends the state and returns, ``collect`` waits for that
-    state's report; what scoring raised, ``recv`` raises."""
-
-    def __init__(self, child: Forked):
-        self._child = child
-
-    def submit(self, tagger: TaggerInterface, state: bytes) -> None:
-        self._child.send(state)
-
-    def collect(self) -> EvalReport:
-        import pickle
-
-        return pickle.loads(self._child.recv())
-
-    def close(self) -> None:
-        self._child.close()
-
-
 def _score_states(
     tagger_factory: Callable[[], TaggerInterface],
     validation: Sequence[LabeledSentence],
@@ -285,7 +247,7 @@ def run_self_training(
     next round relabels and trains; otherwise validation runs inline on the
     live tagger. The results are the same either way. Errors are raised in
     the order a sequential run meets them: if a round fails while an
-    earlier state's score is outstanding, that score is collected first and
+    earlier state's score is outstanding, that score is received first and
     its failure, if any, is raised instead.
     """
     if not generated:
@@ -299,25 +261,36 @@ def run_self_training(
 
     gold = EntitySet.from_sentences(validation)
     child = Forked.start(
-        "validation scorer",
-        lambda link: _score_states(tagger_factory, validation, gold, link),
-        replies=True,
+        "validation scorer", lambda link: _score_states(tagger_factory, validation, gold, link)
     )
-    scorer = _ForkedScorer(child) if child else _InlineScorer(validation, gold)
-    # (round, student steps, state) whose report is still to be collected;
-    # round 0 is the warmed-up teacher.
-    outstanding: tuple[int, int, bytes] | None = None
+    # (round, student steps, state, report) whose report is still to be
+    # received; round 0 is the warmed-up teacher. The report is None until
+    # the scorer sends it.
+    outstanding: tuple[int, int, bytes, EvalReport | None] | None = None
     teacher_report: EvalReport | None = None
     rounds: list[RoundRecord] = []
     reports: list[EvalReport] = []
     best: Checkpoint | None = None
     best_round = 0
 
-    def collect() -> None:
+    def submit(round_no: int, tagger: TaggerInterface, state: bytes) -> None:
+        """Send the scorer ``state``, or score the live ``tagger`` here."""
+        nonlocal outstanding
+        if child:
+            child.send(state)
+            report = None
+        else:
+            report = _evaluate(tagger, validation, gold)
+        outstanding = (round_no, done, state, report)
+
+    def receive() -> None:
         nonlocal outstanding, teacher_report, best, best_round
-        round_no, done, scored = outstanding
+        round_no, done, scored, report = outstanding
         outstanding = None
-        report = scorer.collect()
+        if report is None:
+            import pickle
+
+            report = pickle.loads(child.recv())
         if not round_no:
             teacher_report = report
             return
@@ -345,8 +318,7 @@ def run_self_training(
             raise
         # The teacher's state; after each round it is the verified student state.
         state = teacher.snapshot()
-        scorer.submit(teacher, state)
-        outstanding = (0, 0, state)
+        submit(0, teacher, state)
         while done < config.max_iterations:
             round_no += 1
             steps = min(config.t_update, config.max_iterations - done)
@@ -364,23 +336,23 @@ def run_self_training(
             except Exception as e:
                 e.args = (f"student training failed in round {round_no}: {e}",)
                 raise
-            collect()
+            receive()
             done += steps
             state = student.snapshot()
-            scorer.submit(student, state)
-            outstanding = (round_no, done, state)
+            submit(round_no, student, state)
             teacher.restore(state)
             if teacher.snapshot() != state:
                 raise InternalInvariantError("teacher state diverged from student snapshot")
-        collect()
+        receive()
     except Exception:
         # A sequential run would have scored the outstanding state before
         # reaching this failure, so that score's own failure comes first.
         if outstanding is not None:
-            collect()
+            receive()
         raise
     finally:
-        scorer.close()
+        if child:
+            child.close()
 
     return SelfTrainResult(
         best=best,

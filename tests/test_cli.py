@@ -242,12 +242,12 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
     thread.start()
     try:
         with cpus(2):
-            assert Forked.start("helper", lambda link: None, replies=True) is None
+            assert Forked.start("helper", lambda link: None) is None
     finally:
         release.set()
         thread.join()
     with cpus(1):
-        assert Forked.start("helper", lambda link: None, replies=True) is None
+        assert Forked.start("helper", lambda link: None) is None
 
 
 # -- input files that are not UTF-8 ----------------------------------------------

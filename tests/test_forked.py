@@ -1,11 +1,13 @@
 """The three forked helpers seen through ``forked``: an error a helper
 raises is raised by its caller as a one-CPU run raises it, a helper that
 cannot send its error back or that dies is an internal error naming it, and
-a pipe that cannot be opened leaves the work to the caller."""
+a pipe that cannot be opened leaves the work to the caller. Then the frames
+themselves, at both ends of a small echo helper."""
 
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import threading
 
@@ -14,6 +16,7 @@ import pytest
 from askner import pipeline, retrieval, selftrain
 from askner.annotator import build_dictionary
 from askner.errors import DataError, InternalInvariantError
+from askner.forked import Forked
 from askner.normalizer import NormalizedPhrase, RuleSet
 from askner.perceptron import AveragedPerceptronTagger
 from askner.retrieval import CorpusSentence, load_corpus
@@ -77,7 +80,7 @@ def _scorer(monkeypatch, tmp_path, fault):
 # Each helper's name, how to set up a call to the code that forks it, and
 # how many pipes it opens.
 HELPERS = {
-    "corpus reader": (_reader, 1),
+    "corpus reader": (_reader, 2),
     "dataset writer": (_writer, 2),
     "validation scorer": (_scorer, 2),
 }
@@ -178,3 +181,87 @@ def test_a_pipe_that_cannot_be_opened_leaves_the_work_here(
     assert len(opened) == failing
     if fds is not None:
         assert len(os.listdir("/proc/self/fd")) == fds
+
+
+# -- frames, seen at both ends of one helper ------------------------------------
+
+
+def _echo(link):
+    """Send back each object received: bytes as a raw frame, anything else
+    as an object; on EOF, send "EOF" and return."""
+    while True:
+        try:
+            obj = link.recv()
+        except EOFError:
+            link.send("EOF")
+            return
+        if type(obj) is bytes:
+            link.send_bytes(obj)
+        else:
+            link.send(obj)
+
+
+def _echo_helper() -> Forked:
+    with cpus(2):
+        helper = Forked.start("echo", _echo)
+    assert helper is not None
+    return helper
+
+
+@needs_fork
+def test_frames_carry_objects_and_bytes_both_ways():
+    with recorded_forks() as pids:
+        helper = _echo_helper()
+        try:
+            for obj in [None, 7, "Oslo", ["a", ("b", 2.5)], {"k": b"\x00\xff"}]:
+                helper.send(obj)
+                assert helper.recv() == obj
+            helper.send_bytes(marshal.dumps(("raw", 1)))
+            assert helper.recv() == ("raw", 1)
+            helper.send(b"tail")
+            assert helper.recv_after(b"head ") == bytearray(b"head tail")
+            helper.send(b"")
+            assert helper.recv_after(b"") == bytearray()
+        finally:
+            helper.close()
+    assert len(pids) == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("receive", ["recv", "recv_after"])
+def test_a_child_that_exits_after_a_frame_header_is_an_internal_error(receive):
+    def header_only(link):
+        link._outbound.write((10).to_bytes(8, "little") + b"cut")
+        link._outbound.flush()
+        os._exit(7)
+
+    with recorded_forks() as pids, cpus(2):
+        helper = Forked.start("half-frame", header_only)
+        try:
+            with pytest.raises(
+                InternalInvariantError, match="^half-frame process exited with code 7$"
+            ):
+                if receive == "recv":
+                    helper.recv()
+                else:
+                    helper.recv_after(b"head")
+        finally:
+            helper.close()
+    assert len(pids) == 1
+
+
+@needs_fork
+def test_a_child_reads_eof_once_the_parent_closes_its_end():
+    with recorded_forks() as pids:
+        helper = _echo_helper()
+        try:
+            helper.send("before")
+            assert helper.recv() == "before"
+            helper._outbound.close()
+            assert helper.recv() == "EOF"
+            # the child returned from its work: it exited 0, and is reaped here
+            with pytest.raises(InternalInvariantError, match="^echo process exited with code 0$"):
+                helper.recv()
+        finally:
+            helper.close()
+    assert len(pids) == 1

@@ -193,6 +193,19 @@ def _row(field, value):
          "params row 1 stamp must be an integer, got 1.0"),
         (_state(tags=["O"], params=[_ROW, _row("stamp", 1)]),
          "params row 0 tag 'B-LOC' is not in tags"),
+        # a state that would not snapshot back to its own bytes
+        ({"tags": ["O"], "ticks": 1, "params": [["b", "O", 1.0, 1.0, 1], ["b", "O", 2.0, 2.0, 1]]},
+         "params row 1 repeats the feature and tag of row 0"),
+        (_state(params=[["w=oslo", "O", -1.0, 0.5, 2], _ROW]),
+         "params row 1 sorts before the feature and tag of row 0"),
+        (_state(params=[_ROW, _row("tag", "B-LOC")]),
+         "params row 1 sorts before the feature and tag of row 0"),
+        (_state(params=[_row("stamp", 4)]), "params row 0 stamp must be in [0, ticks 3], got 4"),
+        (_state(params=[_row("stamp", -1)]), "params row 0 stamp must be in [0, ticks 3], got -1"),
+        (_state(ticks=-1), "ticks must not be negative, got -1"),
+        # a stamp is checked before the row's order
+        (_state(params=[_ROW, _ROW[:4] + [7]]),
+         "params row 1 stamp must be in [0, ticks 3], got 7"),
     ],
 )
 def test_restore_rejects_a_malformed_state_naming_the_fault(state, message):
@@ -257,7 +270,8 @@ def _json_round_trip(value):
 @st.composite
 def _states(draw):
     # restore accepts tags that start with "O" and do not repeat, and rows
-    # whose tag is one of them; both must hold after the JSON round trip
+    # whose tag is one of them, in (feature, tag) order, with stamps in
+    # [0, ticks]; each must hold after the JSON round trip
     tags = ["O", *draw(st.lists(
         _TEXT.filter(lambda t: t != "O"), unique_by=_json_round_trip, max_size=3
     ))]
@@ -266,12 +280,12 @@ def _states(draw):
         unique_by=lambda key: tuple(_json_round_trip(key)),
         max_size=12,
     ))
+    ticks = draw(st.integers(0, 10**20))
     params = [
-        [feat, tag, draw(_FINITE), draw(_FINITE), draw(st.integers(-(10**20), 10**20))]
-        for feat, tag in keys
+        [feat, tag, draw(_FINITE), draw(_FINITE), draw(st.integers(0, ticks))]
+        for feat, tag in sorted(keys, key=_json_round_trip)
     ]
-    draw(st.randoms()).shuffle(params)
-    return {"tags": tags, "ticks": draw(st.integers(0, 10**20)), "params": params}
+    return {"tags": tags, "ticks": ticks, "params": params}
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,6 +301,47 @@ def test_snapshot_of_a_restored_state_equals_json_dumps(state):
     restored = _json_round_trip(state)
     restored["params"].sort(key=lambda row: row[:2])
     assert tagger.snapshot() == json.dumps(restored, separators=(",", ":")).encode("ascii")
+
+
+@st.composite
+def _maybe_faulty_states(draw):
+    """A ``_states`` state, perhaps with a row repeated, its rows shuffled,
+    stamps out of [0, ticks] or negative ticks."""
+    state = draw(_states())
+    params = state["params"]
+    if params and draw(st.booleans()):
+        row = list(params[draw(st.integers(0, len(params) - 1))])
+        params.insert(draw(st.integers(0, len(params))), row)
+    if draw(st.booleans()):
+        draw(st.randoms()).shuffle(params)
+    for row in params:
+        if draw(st.integers(0, 7)) == 0:
+            row[4] = draw(st.sampled_from([-1, state["ticks"] + 1, -(10**20)]))
+    if draw(st.integers(0, 7)) == 0:
+        state["ticks"] = draw(st.integers(-(10**20), -1))
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maybe_faulty_states())
+# an I- tag without its B- tag, as training on such a CoNLL file leaves
+@example({"tags": ["O", "I-X"], "ticks": 1, "params": [["b", "I-X", 1.0, 1.0, 1]]})
+def test_every_state_restore_accepts_snapshots_back_to_its_own_bytes(state):
+    data = json.dumps(state, separators=(",", ":")).encode("ascii")
+    decoded = json.loads(data)
+    ticks, keys = decoded["ticks"], [tuple(row[:2]) for row in decoded["params"]]
+    canonical = (
+        ticks >= 0
+        and all(0 <= row[4] <= ticks for row in decoded["params"])
+        and all(a < b for a, b in zip(keys, keys[1:]))
+    )
+    tagger = AveragedPerceptronTagger()
+    if canonical:
+        tagger.restore(data)
+        assert tagger.snapshot() == data
+    else:
+        with pytest.raises(DataError, match="^checkpoint: (ticks|params row)"):
+            tagger.restore(data)
 
 
 _WORDS = st.text(

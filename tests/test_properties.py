@@ -1,9 +1,14 @@
 """Properties of whole commands over small generated inputs: a corpus,
 results that slice it and a config over one to three types, some of whose
-phrases are claimed by two types."""
+phrases are claimed by two types.
+
+Rule 10 (quality phrases) is never drawn and no corpus word holds a
+parenthesis, so no span is grown and no short form is found: every
+entity's tokens are a dictionary key's words."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import yaml
@@ -11,6 +16,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from askner.config import load_config
+from askner.conll import read_conll
+from askner.metrics import extract_entities
+from askner.normalizer import surface_key
 from askner.pipeline import cmd_generate
 from testutil import cpus, needs_fork
 
@@ -95,3 +103,30 @@ def test_generate_writes_the_same_bytes_on_one_cpu_and_on_two(tmp_path_factory, 
             cmd_generate(load_config(data / "config.yaml"), out)
         outputs[n] = {name: (out / name).read_bytes() for name in _OUTPUTS}
     assert outputs[1] == outputs[2]
+    _check_outputs(data / "out-1")
+
+
+def _check_outputs(out):
+    """The dataset reads back with the manifest's sentence and entity
+    counts, its tags are legal BIO, each entity's words are a dictionary
+    key listing the entity's type, and the manifest's digests are the
+    files'."""
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    types: dict[str, set[str]] = {}
+    for line in (out / "dictionary.tsv").read_text(encoding="utf-8").splitlines():
+        key, type_name, _ = line.split("\t")
+        types.setdefault(key, set()).add(type_name)
+    sentences = read_conll(out / "dataset.conll")
+    assert len(sentences) == manifest["counts"]["labeled_sentences"]
+    entities = 0
+    for sent in sentences:
+        for prev, tag in zip(("O", *sent.tags), sent.tags):
+            assert not tag.startswith("I-") or prev in ("B-" + tag[2:], tag), sent
+        for start, end, type_name in extract_entities(sent.tags):
+            assert type_name in types[surface_key(" ".join(sent.tokens[start:end]))], sent
+            entities += 1
+    assert entities == manifest["counts"]["entities"]
+    assert manifest["outputs"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("dataset.conll", "dictionary.tsv")
+    }
