@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 import yaml
 
-from .errors import ConfigError, check_value
+from .errors import ConfigError, check_known, check_value
 from .normalizer import DEFAULT_MIN_LENGTH, read_config_text, rule_ids
 from .querygen import DEFAULT_TEMPLATE, LabelDeclaration, QuestionTemplate, TypeDeclaration
 from .selftrain import SelfTrainConfig
@@ -181,9 +181,7 @@ def _want(obj: Mapping, key: str, kind: str, where: str, default=None, required=
 def _known(obj: Any, keys: set[str], where: str) -> None:
     """Raise ConfigError unless ``obj`` is an object with no key but ``keys``."""
     check_value(obj, where, "an object", ConfigError)
-    unknown = set(obj) - keys
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    check_known(obj, where, keys, ConfigError)
 
 
 def _parse_rules(value: Any, where: str) -> tuple[int, ...] | None:

@@ -2,12 +2,12 @@
 
 The CLI maps these onto process exit codes: configuration/argument problems
 exit 1, malformed input data exits 2, violated internal invariants exit 3.
-``check_fields`` and ``check_value`` word every fault in a JSON record or
-a config mapping's field the same way.
+``check_fields``, ``check_known`` and ``check_value`` word every fault in a
+JSON record or a config mapping's field the same way.
 """
 
 import sys
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class PipelineError(Exception):
@@ -77,3 +77,13 @@ def check_fields(
             raise error(f"{where}: missing field {name!r}")
     return [check_value(obj[name], f"{where}: {name}", kind, error)
             for name, kind in schema.items()]
+
+
+def check_known(
+    obj: Mapping, where: str, keys: Iterable, error: type[PipelineError] = DataError
+) -> None:
+    """Raise ``error`` if ``obj`` has a key not in ``keys``: "<where>:
+    unknown keys [...]", the unknown keys sorted."""
+    unknown = obj.keys() - keys
+    if unknown:
+        raise error(f"{where}: unknown keys {sorted(unknown, key=str)}")

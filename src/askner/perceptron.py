@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii as encode_string
 from typing import Sequence
 
 from .annotator import LabeledSentence
-from .errors import DataError, check_fields, check_value
+from .errors import DataError, check_fields, check_known, check_value
 from .selftrain import visit_order
 
 START = "<s>"
@@ -112,6 +112,7 @@ def _successors(tags: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
     return {prev: tuple(t for t in tags if _legal(prev, t)) for prev in (START, *tags)}
 
 
+_STATE_KINDS = {"tags": "an array", "ticks": "an integer", "params": "an array"}
 _ROW_KINDS = {
     "feature": "a string", "tag": "a string", "weight": "a finite number",
     "total": "a finite number", "stamp": "an integer",
@@ -120,16 +121,16 @@ _ROW_KINDS = {
 
 def _check_state(obj: object) -> None:
     """Raise DataError naming the first fault ``restore`` met in a decoded
-    state: a fault in its three fields (``check_fields``), tags that do not
-    start with "O", a tag that is not a string or repeats one, negative
-    ticks, a params row that does not unpack into five fields or whose
-    feature or tag is an array or an object, a row field not of its kind in
-    ``_ROW_KINDS``, and, once every row has its form, a row whose tag is not
-    in tags, whose stamp is not in [0, ticks], or whose (feature, tag) does
-    not sort after the previous row's, as ``snapshot`` writes them."""
-    tags, ticks, params = check_fields(
-        obj, "checkpoint", {"tags": "an array", "ticks": "an integer", "params": "an array"}
-    )
+    state: a fault in its three fields (``check_fields``), a field other
+    than those three, tags that do not start with "O", a tag that is not a
+    string or repeats one, negative ticks, a params row that does not unpack
+    into five fields or whose feature or tag is an array or an object, a row
+    field not of its kind in ``_ROW_KINDS``, and, once every row has its
+    form, a row whose tag is not in tags, whose stamp is not in [0, ticks],
+    or whose (feature, tag) does not sort after the previous row's, as
+    ``snapshot`` writes them."""
+    tags, ticks, params = check_fields(obj, "checkpoint", _STATE_KINDS)
+    check_known(obj, "checkpoint", _STATE_KINDS)
     if not tags or tags[0] != "O":
         raise DataError(f'checkpoint: tags must start with "O", got {tags!r}')
     for i, tag in enumerate(tags):
@@ -345,10 +346,10 @@ class AveragedPerceptronTagger:
     def restore(self, state: bytes) -> None:
         """Load a ``snapshot`` state. A state this loop cannot load raises
         DataError naming the fault (see ``_check_state``): not JSON, not an
-        object, a missing field, a malformed params row, a value of the
-        wrong type, such as a NaN weight or a boolean stamp, tags that are
-        empty, do not start with "O" or repeat one, or a row whose tag is
-        not in tags, which ``predict`` could not decode. So that the state
+        object, a missing or unknown field, a malformed params row, a value
+        of the wrong type, such as a NaN weight or a boolean stamp, tags that
+        are empty, do not start with "O" or repeat one, or a row whose tag
+        is not in tags, which ``predict`` could not decode. So that the state
         snapshots back to the same bytes, ticks must not be negative, each
         row's stamp must be in [0, ticks], and the rows must be in
         ``snapshot``'s order, each (feature, tag) sorting after the one
@@ -362,7 +363,7 @@ class AveragedPerceptronTagger:
         try:
             tags, ticks, params = obj["tags"], obj["ticks"], obj["params"]
             if not (
-                type(tags) is list and all(type(tag) is str for tag in tags)
+                len(obj) == 3 and type(tags) is list and all(type(tag) is str for tag in tags)
                 and tags and tags[0] == "O" and type(ticks) is int and ticks >= 0
             ):
                 raise TypeError

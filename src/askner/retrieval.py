@@ -36,6 +36,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring as encode_string
 from pathlib import Path
 from sys import intern
 from typing import BinaryIO, Callable, Container, Iterable, Iterator, Mapping, Sequence
@@ -462,11 +463,23 @@ def read_results(
 
 def serialize_results(groups: Mapping[str, Sequence[RetrievedPhrase]]) -> str:
     """Inverse of ingest_results: one JSON record per line, questions in
-    sorted id order, ranks ascending, trailing newline."""
+    sorted id order, ranks ascending, trailing newline. Each line is the
+    text ``json.dumps(p.to_record(), ensure_ascii=False, sort_keys=True)``
+    gives, built straight as text with no dict: the fields in sorted key
+    order, strings through ``json``'s own non-ASCII string encoder, numbers
+    as their ``repr``. That holds because a ``RetrievedPhrase`` holds the
+    values ``_phrase_from_record`` has checked: three strings, three ints
+    and a finite float score."""
     lines = []
     for qid in sorted(groups):
         for p in sorted(groups[qid], key=lambda p: p.rank):
-            lines.append(json.dumps(p.to_record(), ensure_ascii=False, sort_keys=True))
+            lines.append(
+                f'{{"char_end": {p.char_end!r}, "char_start": {p.char_start!r}, '
+                f'"phrase": {encode_string(p.surface)}, '
+                f'"question_id": {encode_string(p.question_id)}, '
+                f'"rank": {p.rank!r}, "score": {p.score!r}, '
+                f'"sentence_id": {encode_string(p.sentence_id)}}}'
+            )
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -40,9 +40,9 @@ from askner.normalizer import BUNDLED_STOPWORDS
 from askner.perceptron import AveragedPerceptronTagger
 from askner.pipeline import cmd_generate
 from askner.querygen import build_question_set
-from askner.retrieval import fetch_remote, read_results, serialize_results
+from askner.retrieval import RetrievedPhrase, fetch_remote, read_results, serialize_results
 from askner.selftrain import SelfTrainConfig
-from testutil import cpus, forked, needs_fork, recorded_forks  # noqa: F401 (forked is a fixture)
+from testutil import cpus, forked, needs_fork, recorded_forks, ref_serialize_results  # noqa: F401 (forked is a fixture)
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "data" / "demo"
@@ -1012,13 +1012,23 @@ output_dir: out
 
 
 def test_retrieve_remote_cli(tmp_path, server):
-    server.replies["Which city?"] = [(200, [_record(1), _record(2), _record(3)])]
+    # the last hit is served first, and its phrase holds a quote and a
+    # backslash, which JSON escapes, and a non-ASCII letter and a line
+    # separator, which it writes as they are
+    records = [_record(4, 'Vel"grad\\é\u2028', score=1e-07), _record(1), _record(2), _record(3)]
+    server.replies["Which city?"] = [(200, records)]
     config = _city_config(tmp_path, server)
     target = tmp_path / "results.jsonl"
     rc = main(["-q", "retrieve", "--config", str(config), "--out", str(target)])
     assert rc == 0
     groups = read_results(target)
-    assert [p.surface for p in groups["city:city"]] == ["Velgrad"] * 3
+    assert [p.surface for p in groups["city:city"]] == ["Velgrad"] * 3 + ['Vel"grad\\é\u2028']
+    hits = [
+        RetrievedPhrase("city:city", r["rank"], r["phrase"], r["score"], r["sentence_id"],
+                        r["char_start"], r["char_end"])
+        for r in records
+    ]
+    assert target.read_bytes() == ref_serialize_results({"city:city": hits}).encode("utf-8")
     assert server.seen[0]["question"] == "Which city?"
     manifest = json.loads((tmp_path / "results.jsonl.manifest.json").read_text())
     assert manifest["inputs"] == {}

@@ -206,6 +206,14 @@ def _row(field, value):
         # a stamp is checked before the row's order
         (_state(params=[_ROW, _ROW[:4] + [7]]),
          "params row 1 stamp must be in [0, ticks 3], got 7"),
+        # a field other than tags, ticks and params, named after the three
+        # fields' own faults and before any other
+        (_state(x=0), "unknown keys ['x']"),
+        (_state(x=0, a=None), "unknown keys ['a', 'x']"),
+        ({"tags": ["O"], "params": [], "x": 0}, "missing field 'ticks'"),
+        (_state(x=0, ticks=-1.0), "ticks must be an integer, got -1.0"),
+        (_state(x=0, tags=["B-LOC", "O"]), "unknown keys ['x']"),
+        (_state(x=0, params=[_row("stamp", 4)]), "unknown keys ['x']"),
     ],
 )
 def test_restore_rejects_a_malformed_state_naming_the_fault(state, message):
@@ -306,7 +314,7 @@ def test_snapshot_of_a_restored_state_equals_json_dumps(state):
 @st.composite
 def _maybe_faulty_states(draw):
     """A ``_states`` state, perhaps with a row repeated, its rows shuffled,
-    stamps out of [0, ticks] or negative ticks."""
+    stamps out of [0, ticks], negative ticks or a field of its own."""
     state = draw(_states())
     params = state["params"]
     if params and draw(st.booleans()):
@@ -319,6 +327,9 @@ def _maybe_faulty_states(draw):
             row[4] = draw(st.sampled_from([-1, state["ticks"] + 1, -(10**20)]))
     if draw(st.integers(0, 7)) == 0:
         state["ticks"] = draw(st.integers(-(10**20), -1))
+    if draw(st.integers(0, 7)) == 0:
+        key = draw(_TEXT.filter(lambda k: _json_round_trip(k) not in state))
+        state[key] = draw(_FINITE)
     return state
 
 
@@ -331,7 +342,8 @@ def test_every_state_restore_accepts_snapshots_back_to_its_own_bytes(state):
     decoded = json.loads(data)
     ticks, keys = decoded["ticks"], [tuple(row[:2]) for row in decoded["params"]]
     canonical = (
-        ticks >= 0
+        len(decoded) == 3
+        and ticks >= 0
         and all(0 <= row[4] <= ticks for row in decoded["params"])
         and all(a < b for a, b in zip(keys, keys[1:]))
     )
@@ -340,7 +352,7 @@ def test_every_state_restore_accepts_snapshots_back_to_its_own_bytes(state):
         tagger.restore(data)
         assert tagger.snapshot() == data
     else:
-        with pytest.raises(DataError, match="^checkpoint: (ticks|params row)"):
+        with pytest.raises(DataError, match="^checkpoint: (unknown keys|ticks|params row)"):
             tagger.restore(data)
 
 

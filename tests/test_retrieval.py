@@ -28,7 +28,7 @@ from askner.retrieval import (
     serialize_results,
     text_lines,
 )
-from testutil import cpus, forked, needs_fork, phrase, sent  # noqa: F401 (forked is a fixture)
+from testutil import cpus, forked, needs_fork, phrase, ref_serialize_results, sent  # noqa: F401 (forked is a fixture)
 
 
 # -- corpus loading ---------------------------------------------------------
@@ -917,6 +917,54 @@ def test_serialize_ingest_roundtrip():
     assert again == {"a": groups["a"], "b": groups["b"]}
     assert serialize_results(again) == text
     assert serialize_results({}) == ""
+
+
+# Text the encoder must escape or pass through: quotes, backslashes, control
+# characters, line and paragraph separators, non-ASCII letters, characters
+# outside the BMP and lone surrogates.
+_RESULT_TEXT = st.one_of(
+    st.text(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u2029é漢\U0001f600\ud800\udfff'),
+        max_size=8,
+    ),
+    st.text(max_size=8),
+)
+_RESULT_INT = st.one_of(
+    st.integers(-(2**70), 2**70), st.sampled_from([0, -1, 2**63, 2**64 + 1, -(2**63) - 1])
+)
+_RESULT_SCORE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1e300, -1e300, 98.0, 1e16, 1e-7]),
+)
+
+
+@st.composite
+def _result_groups(draw):
+    """Groups of hits under several question ids, each group's ranks in any
+    order, some groups empty."""
+    groups = {}
+    for qid in draw(st.lists(_RESULT_TEXT, max_size=4, unique=True)):
+        hits = []
+        for _ in range(draw(st.integers(0, 4))):
+            fields = [
+                draw(st.one_of(st.just(qid), _RESULT_TEXT)), draw(_RESULT_INT),
+                draw(_RESULT_TEXT), draw(_RESULT_SCORE), draw(_RESULT_TEXT),
+                draw(_RESULT_INT), draw(_RESULT_INT),
+            ]
+            hits.append(RetrievedPhrase(*fields))
+        groups[qid] = draw(st.permutations(hits))
+    return groups
+
+
+@seed(33)
+@settings(max_examples=100, deadline=None)
+@given(_result_groups())
+@example({})
+@example({"a": [], "b": []})
+@example({"q": [RetrievedPhrase("q", 2, '"\\é\u2028', 1e300, "s", -1, 2**64),
+                RetrievedPhrase("q", 1, "\ud800", -0.0, "\U0001f600", 0, 1)]})
+def test_serialize_results_equals_json_dumps(groups):
+    assert serialize_results(groups) == ref_serialize_results(groups)
 
 
 # -- sentence budget --------------------------------------------------------

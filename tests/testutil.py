@@ -1,9 +1,10 @@
 """Shared builders for tests: quick sentences, phrases, the hand-built
-evaluation fixture used by the metric tests, and the means to test code
-that forks a helper process."""
+evaluation fixture used by the metric tests, the means to test code that
+forks a helper process, and a reference results writer."""
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from contextlib import contextmanager
@@ -132,3 +133,13 @@ def conlleval_fixture() -> tuple[list[LabeledSentence], list[LabeledSentence]]:
     gold = [labeled(sid, toks, g) for sid, toks, g, _ in rows]
     pred = [labeled(sid, toks, p) for sid, toks, _, p in rows]
     return gold, pred
+
+
+def ref_serialize_results(groups) -> str:
+    """The reference ``retrieval.serialize_results`` must equal byte for
+    byte: one ``json.dumps`` per hit."""
+    lines = []
+    for qid in sorted(groups):
+        for p in sorted(groups[qid], key=lambda p: p.rank):
+            lines.append(json.dumps(p.to_record(), ensure_ascii=False, sort_keys=True))
+    return "\n".join(lines) + "\n" if lines else ""
